@@ -9,7 +9,7 @@
 
 use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::print_table;
-use longsight_core::trace_eval::evaluate_trace;
+use longsight_core::trace_eval::{evaluate_trace, PreparedTrace};
 use longsight_core::{HybridConfig, ItqRotation};
 use longsight_gpu::{DataParallelGpus, GpuSpec};
 use longsight_model::ModelConfig;
@@ -43,19 +43,20 @@ fn main() {
         (1024, 1024),
         (4096, 1024),
     ] {
+        let cfg = HybridConfig {
+            window: w,
+            sinks: 16,
+            top_k: k,
+        };
+        let prepared = PreparedTrace::new(&trace, &rotation, &cfg);
         for th in (48..=96u32).step_by(16) {
-            let cfg = HybridConfig {
-                window: w,
-                sinks: 16,
-                top_k: k,
-            };
-            let q = evaluate_trace(&trace, &rotation, &cfg, th);
+            let q = prepared.evaluate(th);
             let accuracy = 1.0 - q.output_rel_err;
             if accuracy < 0.7 {
                 continue;
             }
             let mut sys_cfg = LongSightConfig::paper_default();
-            sys_cfg.hybrid = cfg;
+            sys_cfg.hybrid = cfg.clone();
             sys_cfg.filter_ratio = q.stats.filter_ratio_nonwindow().max(1.0);
             let mut sys = LongSightSystem::new(sys_cfg, model.clone());
             if let Ok(r) = sys.evaluate(users, ctx) {

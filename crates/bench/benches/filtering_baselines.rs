@@ -4,16 +4,30 @@
 
 use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::print_table;
-use longsight_core::baseline_filters::{blockwise_surviving_indices, LshFilter};
-use longsight_core::{surviving_indices, PFU_BLOCK_KEYS};
-use longsight_tensor::{top_k_indices, vecops, SignBits, SimRng};
+use longsight_core::baseline_filters::LshFilter;
+use longsight_core::trace_eval::PreparedTrace;
+use longsight_core::{filter_block_packed, HybridConfig, PFU_BLOCK_KEYS};
+use longsight_tensor::SimRng;
 
 fn main() {
     let d = 128;
     let ctx = 16_384;
     let trace = trace_for(d, ctx, 0xBA5E);
     let rotation = train_trace_itq(&trace, 1024, 0xBA5E);
-    let key_signs: Vec<SignBits> = trace.keys.iter().map(|k| rotation.signs(k)).collect();
+    // No window and no sinks: the whole cache is the sparse region, so the
+    // prepared exact top-k is the true top-k over every key.
+    let k = 128;
+    let prepared = PreparedTrace::new(
+        &trace,
+        &rotation,
+        &HybridConfig {
+            window: 0,
+            sinks: 0,
+            top_k: k,
+        },
+    );
+    let key_signs = prepared.key_signs();
+    let n = key_signs.len();
 
     let mut rng = SimRng::seed_from(0xBA5F);
     let lsh = LshFilter::new(d, 32, 8, &mut rng);
@@ -21,26 +35,34 @@ fn main() {
 
     // For each method: candidate count + recall of true top-128, averaged
     // over the trace's query probes.
-    let k = 128;
     let mut rows = Vec::new();
     let mut totals = vec![(0usize, 0usize); 4]; // (candidates, hits)
     let mut truth_total = 0usize;
-    for probe in &trace.queries {
-        let scores: Vec<f32> = trace
-            .keys
-            .iter()
-            .map(|key| vecops::dot(&probe.q, key))
-            .collect();
-        let truth = top_k_indices(&scores, k);
+    for (pi, probe) in trace.queries.iter().enumerate() {
+        let truth = prepared.exact_top_k(pi);
         truth_total += truth.len();
-        let q_signs = rotation.signs(&probe.q);
 
-        // Per-token SCF at a mid threshold; blockwise at the same threshold.
+        // Per-token SCF at a mid threshold; blockwise at the same threshold
+        // keeps a whole 128-key block when any of its keys survives.
         let th = 72;
-        let per_token = surviving_indices(&q_signs, &key_signs, th);
-        let blockwise = blockwise_surviving_indices(&q_signs, &key_signs, th, PFU_BLOCK_KEYS);
+        let mut per_token = Vec::new();
+        let mut blockwise = Vec::new();
+        let mut block = 0;
+        while block < n {
+            let end = (block + PFU_BLOCK_KEYS).min(n);
+            let mut bitmap =
+                filter_block_packed(prepared.query_signs(pi), key_signs, block..end, th);
+            if bitmap != 0 {
+                blockwise.extend(block..end);
+            }
+            while bitmap != 0 {
+                per_token.push(block + bitmap.trailing_zeros() as usize);
+                bitmap &= bitmap - 1;
+            }
+            block = end;
+        }
         let lsh_cands = lsh.candidates(&lsh.signatures(&probe.q), &key_sigs);
-        let dense: Vec<usize> = (0..trace.keys.len()).collect();
+        let dense: Vec<usize> = (0..n).collect();
 
         for (slot, cands) in [&per_token, &blockwise, &lsh_cands, &dense]
             .iter()

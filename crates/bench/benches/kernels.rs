@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the hot kernels: sign packing, SCF block filtering,
-//! top-k selection, ITQ rotation, full-precision scoring, and the DRAM
-//! channel scheduler. Runs on the in-repo timing harness
+//! top-k selection, ITQ training and rotation, full-precision scoring, and
+//! the DRAM channel scheduler. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
 //! goldens in `results/kernels.txt`.
 
+use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::timing::bench_report;
 use longsight_core::{filter_block, filter_block_packed, ItqConfig, ItqRotation, PFU_BLOCK_KEYS};
 use longsight_dram::{ChannelSim, DramTiming, Request};
@@ -81,6 +82,11 @@ fn bench_itq() {
                 seed: 1,
             },
         )
+    });
+    // Fig 3's geometry: 1024 normalized keys of a 128-dim head, 30 iterations.
+    let trace = trace_for(128, 4_096, 0xF163 ^ 4_096);
+    bench_report("itq_train_1024x128_30it", None, || {
+        train_trace_itq(black_box(&trace), 1024, 0xF163)
     });
     let rot = ItqRotation::train(&data, &ItqConfig::default());
     let v = rng.normal_vec(64);

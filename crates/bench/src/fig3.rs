@@ -6,7 +6,7 @@
 //! "perplexity within 5 % of dense" is *attention output error ≤ 5 %*
 //! relative to exact dense attention over the same trace.
 
-use longsight_core::trace_eval::{evaluate_trace, TraceQuality};
+use longsight_core::trace_eval::PreparedTrace;
 use longsight_core::{HybridConfig, ItqConfig, ItqRotation};
 use longsight_model::tracegen::{generate_head_trace, HeadTrace, TraceConfig};
 use longsight_tensor::{vecops, Matrix, SimRng};
@@ -115,9 +115,10 @@ pub fn measure_with_rotation(
         _ => &identity,
     };
 
+    let prepared = PreparedTrace::new(trace, rotation, &config);
     let mut best: Option<(f64, u32, f64)> = None;
     for th in (0..=d as u32).step_by((d / 32).max(1)) {
-        let q: TraceQuality = evaluate_trace(trace, rotation, &config, th);
+        let q = prepared.evaluate(th);
         if q.output_rel_err <= QUALITY_BUDGET {
             let fr = q.stats.filter_ratio_nonwindow();
             if best.is_none() || fr > best.expect("checked").0 {

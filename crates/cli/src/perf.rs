@@ -329,22 +329,37 @@ fn self_check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// One trajectory key resolved against the golden tables: which file,
-/// which row (all matchers must hit), which `|`-separated column.
+/// One trajectory key resolved against the golden tables: which file and
+/// where in it the value sits.
 struct GateSpec {
     file: &'static str,
-    matchers: Vec<(usize, String)>,
-    field: usize,
+    row: GateRow,
+}
+
+/// Where a pinned value sits in its golden file.
+#[derive(Debug, PartialEq)]
+enum GateRow {
+    /// A `|`-separated table: the row where every `(column, text)` matcher
+    /// hits, then column `field` (1-based).
+    Table {
+        matchers: Vec<(usize, String)>,
+        field: usize,
+    },
+    /// A timing-harness report line `name time: [min median max]`: the
+    /// median, converted to ms.
+    Timing { name: String },
 }
 
 /// Maps a `results/trajectory.tsv` key to its golden-table lookup. The key
 /// grammar mirrors the tables: `sched_comparison/8s/slo-aware/...`,
 /// `router_scaling/2r/jsq/...`, `lookahead/32slots/0.25ms/p99_token_ms`,
 /// `fleet_availability/2r/0.10/breaker/...`,
-/// `session_reuse/2r/0.90/affinity/...`, and
+/// `session_reuse/2r/0.90/affinity/...`,
 /// `fig7_kernel/packed/ns_per_key` (the host scan-kernel row — the pinned
 /// value is ns per key, not ms, and wall-clock, so its threshold is set
-/// generously in the trajectory file).
+/// generously in the trajectory file), and
+/// `kernels/<bench name>/median_ms` (a `kernels` bench row's median
+/// wall-clock, likewise with a generous threshold).
 fn gate_spec(key: &str) -> Result<GateSpec, String> {
     let parts: Vec<&str> = key.split('/').collect();
     let part = |i: usize| -> Result<&str, String> {
@@ -360,12 +375,14 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
                 .ok_or_else(|| format!("key '{key}': rate segment must end in 's'"))?;
             Ok(GateSpec {
                 file: "results/sched_comparison.txt",
-                matchers: vec![
-                    (1, format!("{rate}/s")),
-                    (2, part(2)?.to_string()),
-                    (3, "interactive".to_string()),
-                ],
-                field: 8,
+                row: GateRow::Table {
+                    matchers: vec![
+                        (1, format!("{rate}/s")),
+                        (2, part(2)?.to_string()),
+                        (3, "interactive".to_string()),
+                    ],
+                    field: 8,
+                },
             })
         }
         "router_scaling" => {
@@ -374,8 +391,10 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
                 .ok_or_else(|| format!("key '{key}': replica segment must end in 'r'"))?;
             Ok(GateSpec {
                 file: "results/router_scaling.txt",
-                matchers: vec![(1, n.to_string()), (2, part(2)?.to_string())],
-                field: 7,
+                row: GateRow::Table {
+                    matchers: vec![(1, n.to_string()), (2, part(2)?.to_string())],
+                    field: 7,
+                },
             })
         }
         "lookahead" => {
@@ -387,8 +406,10 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
                 .ok_or_else(|| format!("key '{key}': penalty segment must end in 'ms'"))?;
             Ok(GateSpec {
                 file: "results/lookahead.txt",
-                matchers: vec![(1, slots.to_string()), (2, format!("{penalty} ms"))],
-                field: 8,
+                row: GateRow::Table {
+                    matchers: vec![(1, slots.to_string()), (2, format!("{penalty} ms"))],
+                    field: 8,
+                },
             })
         }
         "fleet_availability" => {
@@ -406,12 +427,14 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
             };
             Ok(GateSpec {
                 file: "results/fleet_availability.txt",
-                matchers: vec![
-                    (1, n.to_string()),
-                    (2, part(2)?.to_string()),
-                    (3, breaker.to_string()),
-                ],
-                field: 6,
+                row: GateRow::Table {
+                    matchers: vec![
+                        (1, n.to_string()),
+                        (2, part(2)?.to_string()),
+                        (3, breaker.to_string()),
+                    ],
+                    field: 6,
+                },
             })
         }
         "session_reuse" => {
@@ -420,12 +443,14 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
                 .ok_or_else(|| format!("key '{key}': replica segment must end in 'r'"))?;
             Ok(GateSpec {
                 file: "results/session_reuse.txt",
-                matchers: vec![
-                    (1, n.to_string()),
-                    (2, part(2)?.to_string()),
-                    (3, part(3)?.to_string()),
-                ],
-                field: 9,
+                row: GateRow::Table {
+                    matchers: vec![
+                        (1, n.to_string()),
+                        (2, part(2)?.to_string()),
+                        (3, part(3)?.to_string()),
+                    ],
+                    field: 9,
+                },
             })
         }
         "fig7_kernel" => {
@@ -436,11 +461,35 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
             }
             Ok(GateSpec {
                 file: "results/fig7_throughput.txt",
-                matchers: vec![(1, "packed scan".to_string())],
-                field: 4,
+                row: GateRow::Table {
+                    matchers: vec![(1, "packed scan".to_string())],
+                    field: 4,
+                },
+            })
+        }
+        "kernels" => {
+            if part(2)? != "median_ms" {
+                return Err(format!(
+                    "key '{key}': a kernels row pins its median_ms, got '{}'",
+                    part(2)?
+                ));
+            }
+            Ok(GateSpec {
+                file: "results/kernels.txt",
+                row: GateRow::Timing {
+                    name: part(1)?.to_string(),
+                },
             })
         }
         other => Err(format!("unknown trajectory table '{other}' in key '{key}'")),
+    }
+}
+
+/// Reads the spec's value out of its golden file's text.
+fn lookup(spec: &GateSpec, text: &str) -> Result<f64, String> {
+    match &spec.row {
+        GateRow::Table { matchers, field } => table_lookup(spec.file, matchers, *field, text),
+        GateRow::Timing { name } => timing_lookup(spec.file, name, text),
     }
 }
 
@@ -448,38 +497,58 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
 /// column: fields are `|`-separated and whitespace-trimmed, the value is
 /// a number with an optional ` ms` suffix. First matching row wins, like
 /// the awk scan this replaces.
-fn table_lookup(spec: &GateSpec, text: &str) -> Result<f64, String> {
+fn table_lookup(
+    file: &str,
+    matchers: &[(usize, String)],
+    field: usize,
+    text: &str,
+) -> Result<f64, String> {
     for line in text.lines() {
         let fields: Vec<&str> = line.split('|').map(str::trim).collect();
-        let hit = spec
-            .matchers
+        let hit = matchers
             .iter()
             .all(|(i, want)| fields.get(i - 1).copied() == Some(want.as_str()));
         if !hit {
             continue;
         }
-        let raw = fields.get(spec.field - 1).ok_or_else(|| {
-            format!(
-                "{}: matched row has no field {} ('{line}')",
-                spec.file, spec.field
-            )
-        })?;
+        let raw = fields
+            .get(field - 1)
+            .ok_or_else(|| format!("{file}: matched row has no field {field} ('{line}')"))?;
         let num = raw.strip_suffix("ms").unwrap_or(raw).trim();
-        return num.parse().map_err(|_| {
-            format!(
-                "{}: field {} is not a number: '{raw}'",
-                spec.file, spec.field
-            )
-        });
+        return num
+            .parse()
+            .map_err(|_| format!("{file}: field {field} is not a number: '{raw}'"));
     }
     Err(format!(
-        "{}: no row matches {:?}",
-        spec.file,
-        spec.matchers
-            .iter()
-            .map(|(_, v)| v.as_str())
-            .collect::<Vec<_>>()
+        "{file}: no row matches {:?}",
+        matchers.iter().map(|(_, v)| v.as_str()).collect::<Vec<_>>()
     ))
+}
+
+/// Finds the timing-harness line of bench `name`
+/// (`name time: [1.00 ms 2.00 ms 3.00 ms]`) and returns its median in ms.
+fn timing_lookup(file: &str, name: &str, text: &str) -> Result<f64, String> {
+    let line = text
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(name))
+        .ok_or_else(|| format!("{file}: no timing row named '{name}'"))?;
+    let triple = line
+        .split_once('[')
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(inner, _)| inner.split_whitespace().collect::<Vec<_>>())
+        .filter(|t| t.len() == 6)
+        .ok_or_else(|| format!("{file}: '{name}' has no [min median max] triple ('{line}')"))?;
+    let value: f64 = triple[2]
+        .parse()
+        .map_err(|_| format!("{file}: '{name}' median is not a number: '{}'", triple[2]))?;
+    let per_ms = match triple[3] {
+        "ns" => 1e-6,
+        "us" => 1e-3,
+        "ms" => 1.0,
+        "s" => 1e3,
+        unit => return Err(format!("{file}: '{name}' median has unknown unit '{unit}'")),
+    };
+    Ok(value * per_ms)
 }
 
 /// `--gate TRAJ`: the CI trajectory gate. Each non-comment line of the
@@ -536,7 +605,7 @@ fn gate(a: &Args, traj_path: &str) -> Result<(), String> {
             }
         };
         let spec = gate_spec(key)?;
-        let current = table_lookup(&spec, &read_file(spec.file)?)?;
+        let current = lookup(&spec, &read_file(spec.file)?)?;
         checked += 1;
         if current > pinned * (1.0 + threshold / 100.0) {
             failures.push(format!(
@@ -614,31 +683,51 @@ mod tests {
 
     #[test]
     fn gate_keys_map_to_their_golden_tables() {
-        let s = gate_spec("sched_comparison/8s/slo-aware/interactive_p99_request_ms").unwrap();
-        assert_eq!(s.file, "results/sched_comparison.txt");
-        assert_eq!(s.matchers[0], (1, "8/s".to_string()));
-        assert_eq!(s.field, 8);
-        let s = gate_spec("fleet_availability/2r/0.10/breaker/interactive_p99_request_ms").unwrap();
-        assert_eq!(s.matchers[2], (3, "on".to_string()));
-        assert_eq!(s.field, 6);
-        let s = gate_spec("session_reuse/2r/0.90/affinity/interactive_p99_request_ms").unwrap();
-        assert_eq!(s.file, "results/session_reuse.txt");
+        let table = |key: &str| match gate_spec(key).unwrap() {
+            GateSpec {
+                file,
+                row: GateRow::Table { matchers, field },
+            } => (file, matchers, field),
+            GateSpec { row, .. } => panic!("{key} is not a table row: {row:?}"),
+        };
+        let (file, matchers, field) =
+            table("sched_comparison/8s/slo-aware/interactive_p99_request_ms");
+        assert_eq!(file, "results/sched_comparison.txt");
+        assert_eq!(matchers[0], (1, "8/s".to_string()));
+        assert_eq!(field, 8);
+        let (_, matchers, field) =
+            table("fleet_availability/2r/0.10/breaker/interactive_p99_request_ms");
+        assert_eq!(matchers[2], (3, "on".to_string()));
+        assert_eq!(field, 6);
+        let (file, matchers, field) =
+            table("session_reuse/2r/0.90/affinity/interactive_p99_request_ms");
+        assert_eq!(file, "results/session_reuse.txt");
         assert_eq!(
-            s.matchers,
+            matchers,
             vec![
                 (1, "2".to_string()),
                 (2, "0.90".to_string()),
                 (3, "affinity".to_string()),
             ]
         );
-        assert_eq!(s.field, 9);
+        assert_eq!(field, 9);
         assert!(gate_spec("session_reuse/2/0.90/affinity/x").is_err());
         assert!(gate_spec("unknown_table/1/2").is_err());
-        let s = gate_spec("fig7_kernel/packed/ns_per_key").unwrap();
-        assert_eq!(s.file, "results/fig7_throughput.txt");
-        assert_eq!(s.matchers, vec![(1, "packed scan".to_string())]);
-        assert_eq!(s.field, 4);
+        let (file, matchers, field) = table("fig7_kernel/packed/ns_per_key");
+        assert_eq!(file, "results/fig7_throughput.txt");
+        assert_eq!(matchers, vec![(1, "packed scan".to_string())]);
+        assert_eq!(field, 4);
         assert!(gate_spec("fig7_kernel/perkey/ns_per_key").is_err());
+        let s = gate_spec("kernels/itq_train_1024x128_30it/median_ms").unwrap();
+        assert_eq!(s.file, "results/kernels.txt");
+        assert_eq!(
+            s.row,
+            GateRow::Timing {
+                name: "itq_train_1024x128_30it".to_string()
+            }
+        );
+        assert!(gate_spec("kernels/itq_train_1024x128_30it/max_ms").is_err());
+        assert!(gate_spec("kernels/itq_train_1024x128_30it").is_err());
     }
 
     #[test]
@@ -649,7 +738,30 @@ mod tests {
  packed scan  | 65536 | 128 | 2.867      | 1.70x (bit-identical: yes)
 ";
         let spec = gate_spec("fig7_kernel/packed/ns_per_key").unwrap();
-        assert_eq!(table_lookup(&spec, table).unwrap(), 2.867);
+        assert_eq!(lookup(&spec, table).unwrap(), 2.867);
+    }
+
+    #[test]
+    fn timing_row_lookup_reads_the_median_in_ms() {
+        let text = "\
+itq_train_256x64_10it   time:   [65.45 ms 67.78 ms 89.15 ms]
+itq_train_1024x128_30it time:   [512.00 ms 530.50 ms 601.00 ms]
+itq_apply_64d           time:   [511.40 ns 520.26 ns 677.02 ns]
+";
+        let at = |name: &str| {
+            lookup(
+                &gate_spec(&format!("kernels/{name}/median_ms")).unwrap(),
+                text,
+            )
+        };
+        assert_eq!(at("itq_train_1024x128_30it").unwrap(), 530.5);
+        assert!((at("itq_apply_64d").unwrap() - 520.26e-6).abs() < 1e-12);
+        assert!(at("itq_train_64x64_1it").is_err());
+        assert!(lookup(
+            &gate_spec("kernels/x/median_ms").unwrap(),
+            "x time: [1 ms 2 parsecs 3 ms]"
+        )
+        .is_err());
     }
 
     #[test]
@@ -667,10 +779,10 @@ mod tests {
  8/s  | slo-aware | interactive | 1 | 2 | 3 | 4 | 2249 ms
 ";
         let spec = gate_spec("sched_comparison/8s/slo-aware/interactive_p99_request_ms").unwrap();
-        assert_eq!(table_lookup(&spec, table).unwrap(), 2249.0);
+        assert_eq!(lookup(&spec, table).unwrap(), 2249.0);
         let missing =
             gate_spec("sched_comparison/16s/slo-aware/interactive_p99_request_ms").unwrap();
-        assert!(table_lookup(&missing, table).is_err());
+        assert!(lookup(&missing, table).is_err());
     }
 
     #[test]

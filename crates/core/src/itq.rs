@@ -16,13 +16,18 @@
 //! the same rotation to both Q and K leaves dot products unchanged — only
 //! the sign bits (and therefore SCF) are affected.
 
-use longsight_tensor::{linalg, Matrix, SignArena, SignBits, SimRng};
+use longsight_tensor::{linalg, FlatVecs, Matrix, SignArena, SignBits, SimRng};
 
 /// A learned orthogonal rotation for one KV head.
 #[derive(Debug, Clone)]
 pub struct ItqRotation {
     r: Matrix,
+    /// `r` is exactly the identity matrix.
+    identity: bool,
 }
+
+/// Keys per chunk when [`ItqRotation::sign_arena`] packs on the worker pool.
+const SIGN_CHUNK_KEYS: usize = 1024;
 
 /// Training hyperparameters for [`ItqRotation::train`].
 #[derive(Debug, Clone)]
@@ -45,9 +50,12 @@ impl Default for ItqConfig {
 impl ItqRotation {
     /// The identity rotation (ITQ disabled).
     pub fn identity(dim: usize) -> Self {
-        Self {
-            r: Matrix::identity(dim),
-        }
+        Self::from_matrix(Matrix::identity(dim))
+    }
+
+    fn from_matrix(r: Matrix) -> Self {
+        let identity = r == Matrix::identity(r.rows());
+        Self { r, identity }
     }
 
     /// Trains a rotation on `data` (rows are training vectors).
@@ -91,7 +99,7 @@ impl ItqRotation {
             let m = data.transpose().matmul(&b);
             r = linalg::procrustes_rotation(&m);
         }
-        Self { r }
+        Self::from_matrix(r)
     }
 
     /// Dimensionality the rotation operates on.
@@ -113,9 +121,27 @@ impl ItqRotation {
         self.r.vecmat(v)
     }
 
+    /// Whether `v · R` has the sign bits of `v` itself, so the multiply can
+    /// be skipped: true for the identity rotation and a finite `v`. (The
+    /// identity `vecmat` of a finite vector returns each nonzero entry
+    /// exactly and `+0.0` for `±0.0`, which packs like the input; an
+    /// infinite or NaN entry would poison every output through `x · 0`.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim`.
+    fn signs_pass_through(&self, v: &[f32]) -> bool {
+        assert_eq!(v.len(), self.dim(), "rotation dimension mismatch");
+        self.identity && v.iter().all(|x| x.is_finite())
+    }
+
     /// Rotates and extracts sign bits in one step.
     pub fn signs(&self, v: &[f32]) -> SignBits {
-        SignBits::from_slice(&self.apply(v))
+        if self.signs_pass_through(v) {
+            SignBits::from_slice(v)
+        } else {
+            SignBits::from_slice(&self.apply(v))
+        }
     }
 
     /// Rotates `v` and packs its sign bits straight onto the tail of a
@@ -126,7 +152,38 @@ impl ItqRotation {
     ///
     /// Panics if `v.len() != dim` or the arena's dimension differs.
     pub fn signs_into(&self, v: &[f32], arena: &mut SignArena) {
-        arena.push_signs_of(&self.apply(v));
+        if self.signs_pass_through(v) {
+            arena.push_signs_of(v);
+        } else {
+            arena.push_signs_of(&self.apply(v));
+        }
+    }
+
+    /// Rotates every vector of `keys` and packs the sign bits into a new
+    /// arena — the Key Sign Object region of one head.
+    ///
+    /// Chunks of keys are packed on the deterministic parallel map and
+    /// appended in chunk order, so the arena equals the one serial
+    /// [`Self::signs_into`] calls would build, at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys.dim() != dim`.
+    pub fn sign_arena(&self, keys: &FlatVecs) -> SignArena {
+        assert_eq!(keys.dim(), self.dim(), "rotation dimension mismatch");
+        let n = keys.len();
+        let chunks = longsight_exec::map_range(n.div_ceil(SIGN_CHUNK_KEYS), |c| {
+            let mut part = SignArena::new(keys.dim());
+            for i in c * SIGN_CHUNK_KEYS..((c + 1) * SIGN_CHUNK_KEYS).min(n) {
+                self.signs_into(keys.get(i), &mut part);
+            }
+            part
+        });
+        let mut arena = SignArena::new(keys.dim());
+        for part in &chunks {
+            arena.append(part);
+        }
+        arena
     }
 
     /// Mean binary quantization error `‖sign(XR) − XR‖² / n` over `data` —
@@ -272,6 +329,43 @@ mod tests {
             fixed < 0.2,
             "centered+rotated codes must have balanced signs ({raw} -> {fixed})"
         );
+    }
+
+    #[test]
+    fn identity_sign_shortcut_matches_the_multiply() {
+        let rot = ItqRotation::identity(6);
+        let trained = ItqRotation::train(&clustered_data(64, 6, 6), &ItqConfig::default());
+        assert!(rot.identity && !trained.identity);
+        for v in [
+            vec![1.5, -0.0, 0.0, -2.0, 3.0e-40, -1.0e30],
+            vec![1.0, -1.0, f32::INFINITY, -2.0, 0.5, -0.5],
+            vec![-1.0, f32::NAN, 2.0, -3.0, 0.0, -0.0],
+        ] {
+            let multiplied = SignBits::from_slice(&rot.apply(&v));
+            assert_eq!(rot.signs(&v), multiplied, "{v:?}");
+            let mut arena = SignArena::new(6);
+            rot.signs_into(&v, &mut arena);
+            assert_eq!(arena.get(0), multiplied, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn sign_arena_equals_serial_packing() {
+        let data = clustered_data(2 * SIGN_CHUNK_KEYS + 37, 16, 7);
+        let mut keys = FlatVecs::new(16);
+        for r in 0..data.rows() {
+            keys.push(data.row(r));
+        }
+        for rot in [
+            ItqRotation::identity(16),
+            ItqRotation::train(&data, &ItqConfig::default()),
+        ] {
+            let mut serial = SignArena::new(16);
+            for k in keys.iter() {
+                rot.signs_into(k, &mut serial);
+            }
+            assert_eq!(rot.sign_arena(&keys), serial);
+        }
     }
 
     #[test]

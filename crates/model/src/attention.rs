@@ -12,7 +12,7 @@
 //!   (StreamingLLM-style, the paper's software baseline in Fig 10).
 
 use crate::kv::HeadKv;
-use longsight_tensor::vecops;
+use longsight_tensor::{vecops, FlatVecs};
 
 /// One grouped-query attention request: all query heads that share a single
 /// KV head, for one token position in one layer.
@@ -83,14 +83,16 @@ pub fn attend_over_indices(
     out
 }
 
-/// Computes softmax attention from precomputed raw scores over candidate
-/// indices (used when scores were produced elsewhere, e.g. returned by the
-/// simulated DReX device).
+/// Computes softmax attention from precomputed scaled scores over candidate
+/// indices of `values` (used when scores were produced elsewhere, e.g. kept
+/// across threshold evaluations by `trace_eval::PreparedTrace`). With
+/// `raw_scores[j] = dot(q, key[candidates[j]]) * scale` the output is
+/// bit-identical to [`attend_over_indices`].
 ///
 /// # Panics
 ///
 /// Panics if lengths mismatch or `candidates` is empty.
-pub fn attend_with_scores(history: &HeadKv, candidates: &[usize], raw_scores: &[f32]) -> Vec<f32> {
+pub fn attend_with_scores(values: &FlatVecs, candidates: &[usize], raw_scores: &[f32]) -> Vec<f32> {
     assert_eq!(
         candidates.len(),
         raw_scores.len(),
@@ -100,7 +102,6 @@ pub fn attend_with_scores(history: &HeadKv, candidates: &[usize], raw_scores: &[
         !candidates.is_empty(),
         "attention needs at least one candidate"
     );
-    let values = history.values();
     let mut weights = raw_scores.to_vec();
     vecops::softmax_in_place(&mut weights);
     let mut out = vec![0.0f32; values.dim()];
@@ -254,9 +255,7 @@ mod tests {
             .map(|&i| vecops::dot(&q, h.keys().get(i)) * scale)
             .collect();
         let a = attend_over_indices(&q, &h, &cands, scale);
-        let b = attend_with_scores(&h, &cands, &raw);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        let b = attend_with_scores(h.values(), &cands, &raw);
+        assert_eq!(a, b, "same scores must give bit-identical outputs");
     }
 }

@@ -109,33 +109,54 @@ pub fn eigen_sym(a: &Matrix) -> SymEigen {
 /// columns completed to an orthonormal basis so that `U` is always orthogonal
 /// — this is what the Procrustes solve requires.
 ///
+/// The working `U` and `V` are held column-major, so every column dot
+/// product and plane rotation streams contiguous memory, and the squared
+/// column norms are kept between pairs instead of recomputed; every value
+/// and rounding step is the same as recomputing them (the bits are pinned
+/// by `crates/bench/tests/bit_pins.rs`).
+///
 /// # Panics
 ///
 /// Panics if `a` is not square.
 pub fn svd_square(a: &Matrix) -> Svd {
     assert_eq!(a.rows(), a.cols(), "svd_square requires a square matrix");
     let n = a.rows();
-    let mut u: Vec<f64> = a.data().iter().map(|&x| x as f64).collect();
+    // Column-major working copies: column `c` is `u[c * n..(c + 1) * n]`.
+    let mut u: Vec<f64> = (0..n * n).map(|i| a.get(i % n, i / n) as f64).collect();
     let mut v = vec![0.0f64; n * n];
     for i in 0..n {
         v[i * n + i] = 1.0;
     }
 
-    let col_dot = |m: &[f64], i: usize, j: usize| -> f64 {
+    let col = |i: usize| i * n..(i + 1) * n;
+    let col_dot = |x: &[f64], y: &[f64]| -> f64 {
         let mut s = 0.0;
-        for r in 0..n {
-            s += m[r * n + i] * m[r * n + j];
+        for (a, b) in x.iter().zip(y) {
+            s += a * b;
         }
         s
     };
+    // Rotates columns `p < q` of `m` in place by `(c, s)`.
+    let rotate = |m: &mut [f64], p: usize, q: usize, c: f64, s: f64| {
+        let (head, tail) = m.split_at_mut(q * n);
+        let cp = &mut head[col(p)];
+        let cq = &mut tail[..n];
+        for (xp, xq) in cp.iter_mut().zip(cq.iter_mut()) {
+            let (up, uq) = (*xp, *xq);
+            *xp = c * up - s * uq;
+            *xq = s * up + c * uq;
+        }
+    };
 
+    // Squared column norms of `U`, refreshed whenever a rotation changes a
+    // column: the same `col_dot` values a per-pair recomputation would give.
+    let mut norms: Vec<f64> = (0..n).map(|i| col_dot(&u[col(i)], &u[col(i)])).collect();
     for _ in 0..JACOBI_SWEEPS {
         let mut converged = true;
         for p in 0..n {
             for q in (p + 1)..n {
-                let alpha = col_dot(&u, p, p);
-                let beta = col_dot(&u, q, q);
-                let gamma = col_dot(&u, p, q);
+                let (alpha, beta) = (norms[p], norms[q]);
+                let gamma = col_dot(&u[col(p)], &u[col(q)]);
                 if gamma.abs() <= JACOBI_TOL * (alpha * beta).sqrt() || gamma == 0.0 {
                     continue;
                 }
@@ -144,18 +165,10 @@ pub fn svd_square(a: &Matrix) -> Svd {
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for r in 0..n {
-                    let up = u[r * n + p];
-                    let uq = u[r * n + q];
-                    u[r * n + p] = c * up - s * uq;
-                    u[r * n + q] = s * up + c * uq;
-                }
-                for r in 0..n {
-                    let vp = v[r * n + p];
-                    let vq = v[r * n + q];
-                    v[r * n + p] = c * vp - s * vq;
-                    v[r * n + q] = s * vp + c * vq;
-                }
+                rotate(&mut u, p, q, c, s);
+                rotate(&mut v, p, q, c, s);
+                norms[p] = col_dot(&u[col(p)], &u[col(p)]);
+                norms[q] = col_dot(&u[col(q)], &u[col(q)]);
             }
         }
         if converged {
@@ -164,12 +177,12 @@ pub fn svd_square(a: &Matrix) -> Svd {
     }
 
     // Extract singular values and normalize U's columns.
-    let mut sigma: Vec<f64> = (0..n).map(|i| col_dot(&u, i, i).sqrt()).collect();
+    let mut sigma: Vec<f64> = norms.iter().map(|x| x.sqrt()).collect();
     let scale = sigma.iter().cloned().fold(0.0f64, f64::max).max(1e-300);
     for i in 0..n {
         if sigma[i] > scale * 1e-9 {
-            for r in 0..n {
-                u[r * n + i] /= sigma[i];
+            for x in &mut u[col(i)] {
+                *x /= sigma[i];
             }
         } else {
             sigma[i] = 0.0;
@@ -190,9 +203,10 @@ pub fn svd_square(a: &Matrix) -> Svd {
                 if j == i || (sigma[j] == 0.0 && j > i) {
                     continue;
                 }
-                let proj: f64 = (0..n).map(|r| cand[r] * u[r * n + j]).sum();
-                for (r, c) in cand.iter_mut().enumerate() {
-                    *c -= proj * u[r * n + j];
+                let uj = &u[col(j)];
+                let proj: f64 = (0..n).map(|r| cand[r] * uj[r]).sum();
+                for (c, x) in cand.iter_mut().zip(uj) {
+                    *c -= proj * x;
                 }
             }
             let norm: f64 = cand.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -204,17 +218,15 @@ pub fn svd_square(a: &Matrix) -> Svd {
                 break;
             }
         }
-        let col = best.expect("orthonormal completion must succeed for n basis vectors");
-        for r in 0..n {
-            u[r * n + i] = col[r];
-        }
+        let completed = best.expect("orthonormal completion must succeed for n basis vectors");
+        u[col(i)].copy_from_slice(&completed);
     }
 
     // Sort by descending singular value.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]));
-    let su = Matrix::from_fn(n, n, |r, c| u[r * n + order[c]] as f32);
-    let sv = Matrix::from_fn(n, n, |r, c| v[r * n + order[c]] as f32);
+    let su = Matrix::from_fn(n, n, |r, c| u[order[c] * n + r] as f32);
+    let sv = Matrix::from_fn(n, n, |r, c| v[order[c] * n + r] as f32);
     let ss: Vec<f32> = order.iter().map(|&i| sigma[i] as f32).collect();
     Svd {
         u: su,

@@ -195,6 +195,18 @@ impl SignArena {
         self.len += 1;
     }
 
+    /// Appends every key of `other`, in order — how per-chunk arenas packed
+    /// on worker threads join into one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn append(&mut self, other: &SignArena) {
+        assert_eq!(other.dim, self.dim, "sign vector dimension mismatch");
+        self.words.extend_from_slice(&other.words);
+        self.len += other.len;
+    }
+
     /// The packed lanes of key `i`.
     ///
     /// # Panics

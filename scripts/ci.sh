@@ -26,6 +26,8 @@
 #      regression against the pinned values
 #  12. rustdoc gate (missing/broken docs are errors)
 #  13. full test suite (unit + property + integration + doc tests)
+#  14. the benchmark's own tests (perfbench is a separate Cargo workspace):
+#      among them, its quality walk must equal fig3::measure_with_rotation
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -166,5 +168,8 @@ RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline --quiet
 
 echo "== cargo test -q --offline =="
 cargo test --workspace --offline -q
+
+echo "== benchmark tests (perfbench) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI gate passed."

@@ -9,14 +9,15 @@
 //! simulation, and the fault-injection schedule (whose event log must be
 //! byte-identical at any worker count).
 
+use longsight::core::trace_eval::{self, PreparedTrace, TraceQuality};
 use longsight::core::{
-    trace_eval, HybridConfig, ItqRotation, LongSightBackend, RotationTable, ThresholdTable,
+    HybridConfig, ItqConfig, ItqRotation, LongSightBackend, RotationTable, ThresholdTable,
 };
 use longsight::drex::{time_head_offload, time_slice_offload, DrexParams, HeadOffloadSpec};
 use longsight::exec;
 use longsight::model::tracegen::{generate_head_trace, TraceConfig};
 use longsight::model::{corpus, perplexity, InductionParams, Model, ModelConfig, ModelWeights};
-use longsight::tensor::SimRng;
+use longsight::tensor::{Matrix, SignArena, SimRng};
 use std::sync::Mutex;
 
 /// Thread counts exercised: exact serial, a fixed pool, and whatever the
@@ -91,22 +92,64 @@ fn trace_eval_metrics_are_bit_identical_across_thread_counts() {
         sinks: 16,
         top_k: 256,
     };
-    let rot = ItqRotation::identity(64);
-
-    let runs = across_thread_counts(|| {
-        let q = trace_eval::evaluate_trace(&trace, &rot, &cfg, 20);
+    let d = trace.keys.dim();
+    let train: Vec<f32> = trace.keys.iter().take(1024).flatten().copied().collect();
+    let rotations = [
+        ItqRotation::identity(d),
+        ItqRotation::train(
+            &Matrix::from_vec(1024, d, train),
+            &ItqConfig {
+                iterations: 10,
+                seed: 0xF163,
+            },
+        ),
+    ];
+    let metrics = |q: TraceQuality| {
         (
             q.topk_recall.to_bits(),
             q.ground_truth_recall.to_bits(),
             q.output_rel_err.to_bits(),
-            q.stats.scored,
-            q.stats.retrieved,
+            q.stats,
         )
+    };
+
+    // Per rotation: the Fig 3 threshold ladder through one prepared trace,
+    // each rung checked against a fresh one-shot evaluation, and the
+    // parallel-built key-sign arena checked against serial packing.
+    let runs = across_thread_counts(|| {
+        let threads = exec::thread_count();
+        rotations
+            .iter()
+            .map(|rot| {
+                let prepared = PreparedTrace::new(&trace, rot, &cfg);
+                let mut serial = SignArena::new(d);
+                for k in trace.keys.iter() {
+                    rot.signs_into(k, &mut serial);
+                }
+                assert_eq!(
+                    prepared.key_signs(),
+                    &serial,
+                    "parallel-built sign arena diverged at {threads} threads"
+                );
+                (0..=d as u32)
+                    .step_by(d / 32)
+                    .map(|th| {
+                        let swept = metrics(prepared.evaluate(th));
+                        let fresh = metrics(trace_eval::evaluate_trace(&trace, rot, &cfg, th));
+                        assert_eq!(
+                            swept, fresh,
+                            "prepared rung {th} diverged from a fresh evaluation at {threads} threads"
+                        );
+                        swept
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
     });
-    let (_, baseline) = runs[0];
+    let (_, baseline) = &runs[0];
     for (threads, got) in &runs[1..] {
         assert_eq!(
-            *got, baseline,
+            got, baseline,
             "trace-eval metrics diverged at {threads} threads"
         );
     }
