@@ -20,9 +20,9 @@ use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
 use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloClass, SloMix};
 use longsight_system::serving::{
-    simulate_fleet_faulty, FleetFaultOptions, SchedOptions, WorkloadConfig,
+    simulate_fleet_with, FleetFaultOptions, SchedOptions, WorkloadConfig,
 };
-use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 
 fn main() {
     let model = ModelConfig::llama3_1b();
@@ -69,13 +69,14 @@ fn main() {
                     })
                     .collect();
                 let mut rec = Recorder::disabled();
-                let (m, rep) = simulate_fleet_faulty(
+                let (m, rep) = simulate_fleet_with(
                     &mut fleet,
                     &model,
                     &wl,
                     &opts,
                     RouterPolicy::JsqSpillover,
                     &fopts,
+                    &SessionOptions::disabled(),
                     &mut rec,
                 );
                 assert_eq!(

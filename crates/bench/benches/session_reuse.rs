@@ -16,12 +16,22 @@
 //! twin on both total prefill work and interactive p99, that the blind
 //! rows take the pull path, and that affinity never prefills more than
 //! blind routing.
+//!
+//! A second table reruns the reuse-0.90 affinity cells under the seed-11
+//! replica crash profile, with the circuit breaker off and on: a crash
+//! wipes the owner's prefix cache, so it shows how many warm turns fall
+//! back to pulls or cold re-prefill. The bench asserts only the
+//! accounting there — clean audits and every offered turn placed or shed
+//! and every follow-up priced exactly once.
 
 use longsight_bench::print_table;
+use longsight_faults::ReplicaFaultProfile;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
-use longsight_sched::{RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_fleet_sessions, SchedOptions, WorkloadConfig};
+use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloClass, SloMix};
+use longsight_system::serving::{
+    simulate_fleet_with, FleetFaultOptions, SchedOptions, WorkloadConfig,
+};
 use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 
 struct Cell {
@@ -30,9 +40,17 @@ struct Cell {
     hits: usize,
     pulls: usize,
     cold_turns: usize,
+    crashes: usize,
+    redispatched: usize,
 }
 
-fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) -> Cell {
+fn run(
+    replicas: usize,
+    reuse: f64,
+    cache_pages: usize,
+    policy: RouterPolicy,
+    fopts: &FleetFaultOptions,
+) -> Cell {
     let model = ModelConfig::llama3_1b();
     let mut fleet: Vec<Box<dyn ServingSystem>> = (0..replicas)
         .map(|_| {
@@ -69,12 +87,13 @@ fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) ->
         prefill_slots: 1,
         hbm_watermark: 0.9,
     };
-    let (_, rep) = simulate_fleet_sessions(
+    let (_, rep) = simulate_fleet_with(
         &mut fleet,
         &model,
         &wl,
         &opts,
         policy,
+        fopts,
         &sess,
         &mut Recorder::disabled(),
     );
@@ -83,25 +102,40 @@ fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) ->
         "fleet audit must pass for every cell"
     );
     let s = rep.sessions.as_ref().expect("session summary attached");
+    let offered = rep.faults.as_ref().map_or(s.turns, |f| f.offered);
+    let shed = rep.faults.as_ref().map_or(0, |f| f.shed.len());
+    assert_eq!(
+        rep.placements.len() + shed,
+        offered,
+        "every offered turn is placed or shed"
+    );
+    assert_eq!(
+        s.prefix_hits + s.pulls.len() + s.cold_turns + s.shed_turns,
+        s.turns - s.sessions,
+        "every follow-up turn is priced exactly once"
+    );
     Cell {
         prefill_s: rep.replicas.iter().map(|r| r.prefill_work_ns).sum::<f64>() / 1e9,
         p99_ms: rep.per_class[SloClass::Interactive.index()].p99_request_ms,
         hits: s.prefix_hits,
         pulls: s.pulls.len(),
         cold_turns: s.cold_turns,
+        crashes: rep.faults.as_ref().map_or(0, |f| f.crashes),
+        redispatched: rep.faults.as_ref().map_or(0, |f| f.redispatches.len()),
     }
 }
 
 fn main() {
+    let healthy = FleetFaultOptions::disabled();
     let mut rows = Vec::new();
     for replicas in [2usize, 4] {
         for reuse in [0.0f64, 0.5, 0.9] {
-            let warm = run(replicas, reuse, 4096, RouterPolicy::Affinity);
+            let warm = run(replicas, reuse, 4096, RouterPolicy::Affinity, &healthy);
             // Ownership-blind routing with the cache still armed: resumes
             // land wherever JSQ sends them, so reuse must go through the
             // pooled-DReX pull path instead of the owner fast path.
-            let blind = run(replicas, reuse, 4096, RouterPolicy::JsqSpillover);
-            let cold = run(replicas, reuse, 0, RouterPolicy::JsqSpillover);
+            let blind = run(replicas, reuse, 4096, RouterPolicy::JsqSpillover, &healthy);
+            let cold = run(replicas, reuse, 0, RouterPolicy::JsqSpillover, &healthy);
             for (router, cache, c) in [
                 ("affinity", "4096", &warm),
                 ("jsq", "4096", &blind),
@@ -181,4 +215,52 @@ fn main() {
     println!("blind rows exercise the pull path, and affinity prefills no more");
     println!("than blind routing (all asserted). Cold counts follow-ups whose");
     println!("prefix was unusable: edited context or a reuse-rate miss.");
+
+    let mut crash_rows = Vec::new();
+    for replicas in [2usize, 4] {
+        for breaker in [None, Some(BreakerConfig::serving_default())] {
+            let fopts = FleetFaultOptions {
+                profile: ReplicaFaultProfile::scaled(0.1),
+                fault_seed: 11,
+                breaker,
+                shed_queue_cap: None,
+            };
+            let c = run(replicas, 0.9, 4096, RouterPolicy::Affinity, &fopts);
+            crash_rows.push(vec![
+                format!("{replicas}"),
+                "0.90".to_string(),
+                "affinity".to_string(),
+                if breaker.is_some() { "on" } else { "off" }.to_string(),
+                c.hits.to_string(),
+                c.pulls.to_string(),
+                c.cold_turns.to_string(),
+                c.crashes.to_string(),
+                c.redispatched.to_string(),
+                format!("{:.0} ms", c.p99_ms),
+            ]);
+        }
+    }
+    print_table(
+        "Sessions under replica crashes — reuse 0.90, affinity, crash profile 0.10 on fault seed 11",
+        &[
+            "Replicas",
+            "Reuse",
+            "Router",
+            "Breaker",
+            "Hits",
+            "Pulls",
+            "Cold",
+            "Crashes",
+            "Redispatched",
+            "int p99 req",
+        ],
+        &crash_rows,
+    );
+    println!("\nshape: the reuse-0.90 affinity cells of the table above, rerun under");
+    println!("the replica crash profile with the circuit breaker off and on. A crash");
+    println!("wipes the crashed replica's prefix cache and redispatches its in-flight");
+    println!("turns, whose pending prefix publications follow them to the target;");
+    println!("follow-ups whose owner lost its copy become pulls or cold re-prefill.");
+    println!("Only the accounting is asserted: clean audits, every offered turn placed");
+    println!("or shed, and every follow-up priced exactly once.");
 }

@@ -15,8 +15,8 @@ use longsight_model::{
 use longsight_obs::{BurnConfig, Recorder};
 use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloMix};
 use longsight_system::serving::{
-    simulate_fleet_faulty, simulate_fleet_sessions, simulate_observed, simulate_scheduled,
-    FleetFaultOptions, SchedOptions, ServeMetrics, WorkloadConfig,
+    simulate_fleet_with, simulate_scheduled, FleetFaultOptions, SchedOptions, ServeMetrics,
+    WorkloadConfig,
 };
 use longsight_system::{
     AttAccSystem, GpuOnlySystem, LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem,
@@ -651,13 +651,6 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if sess.is_active() && fopts.is_active() {
-        return Err(
-            "--sessions cannot combine with --crash-profile/--breaker/--shed-cap (the session \
-             driver runs the fleet fault-free)"
-                .into(),
-        );
-    }
     if replicas > 1 || sess.is_active() {
         if injected {
             return Err(
@@ -674,11 +667,16 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
         for _ in 0..replicas {
             systems.push(build_system(sys_name, model.clone(), lookahead)?);
         }
-        let (m, fleet) = if sess.is_active() {
-            simulate_fleet_sessions(&mut systems, &model, &wl, &opts, router, &sess, &mut rec)
-        } else {
-            simulate_fleet_faulty(&mut systems, &model, &wl, &opts, router, &fopts, &mut rec)
-        };
+        let (m, fleet) = simulate_fleet_with(
+            &mut systems,
+            &model,
+            &wl,
+            &opts,
+            router,
+            &fopts,
+            &sess,
+            &mut rec,
+        );
         println!(
             "{} x{replicas} under {:.1} req/s for {:.0}s ({}-{} ctx tokens), {} scheduler, {} router:",
             systems[0].name(),
@@ -719,69 +717,39 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
         return write_observability(&rec, &obs_paths);
     }
     let mut sys = build_system(sys_name, model.clone(), lookahead)?;
-    if let Some(opts) = sched_opts {
-        let inj;
-        let fault_args = if injected {
-            inj = FaultInjector::new(faults, fault_seed);
-            Some((&inj, &retry))
-        } else {
-            None
-        };
-        let (m, rep, fault_log) =
-            simulate_scheduled(sys.as_mut(), &model, &wl, &opts, fault_args, &mut rec, None);
-        println!(
-            "{} under {:.1} req/s for {:.0}s ({}-{} ctx tokens), {} scheduler:",
-            sys.name(),
-            wl.arrivals_per_s,
-            wl.duration_s,
-            wl.context_tokens.0,
-            wl.context_tokens.1,
-            opts.policy.name()
-        );
-        print!("{}", m.to_text());
-        print_spec_counters(&m);
-        print!("{}", rep.to_text());
-        if injected {
-            println!(
-                "  faults (seed {fault_seed}): {} events | retried {} | degraded {} | failed requests {}",
-                fault_log.len(),
-                m.retried_tokens,
-                m.degraded_tokens,
-                m.failed_requests
-            );
-        }
-        return write_observability(&rec, &obs_paths);
-    }
-    let (m, fault_log) = if injected {
-        let inj = FaultInjector::new(faults, fault_seed);
-        simulate_observed(
-            sys.as_mut(),
-            &model,
-            &wl,
-            Some((&inj, &retry)),
-            &mut rec,
-            None,
-        )
-    } else {
-        simulate_observed(sys.as_mut(), &model, &wl, None, &mut rec, None)
-    };
+    let inj = FaultInjector::new(faults, fault_seed);
+    let fault_args = injected.then_some((&inj, &retry));
+    let opts = sched_opts.clone().unwrap_or_else(SchedOptions::fifo);
+    let (m, rep, fault_log) =
+        simulate_scheduled(sys.as_mut(), &model, &wl, &opts, fault_args, &mut rec, None);
+    // An explicit `--sched` names the policy and prints the scheduler report.
+    let scheduler = sched_opts.as_ref().map_or(String::new(), |o| {
+        format!(", {} scheduler", o.policy.name())
+    });
     println!(
-        "{} under {:.1} req/s for {:.0}s ({}-{} ctx tokens):",
+        "{} under {:.1} req/s for {:.0}s ({}-{} ctx tokens){scheduler}:",
         sys.name(),
         wl.arrivals_per_s,
         wl.duration_s,
         wl.context_tokens.0,
-        wl.context_tokens.1
+        wl.context_tokens.1,
     );
     print!("{}", m.to_text());
     print_spec_counters(&m);
+    if sched_opts.is_some() {
+        print!("{}", rep.to_text());
+    }
     if injected {
+        let share = if sched_opts.is_some() {
+            String::new()
+        } else {
+            format!(" ({:.2}% of tokens)", 100.0 * m.degraded_quality_delta)
+        };
         println!(
-            "  faults (seed {fault_seed}): {} events | retried {} | degraded {} ({:.2}% of tokens) | failed requests {}",
+            "  faults (seed {fault_seed}): {} events | retried {} | degraded {}{share} | failed requests {}",
             fault_log.len(),
             m.retried_tokens,
             m.degraded_tokens,
-            100.0 * m.degraded_quality_delta,
             m.failed_requests
         );
     }
@@ -850,19 +818,17 @@ pub fn profile(a: &Args) -> Result<(), String> {
     )?;
     let injected = faults.is_enabled();
     let mut attr = TokenAttribution::new();
-    let (m, fault_log) = if injected {
-        let inj = FaultInjector::new(faults, fault_seed);
-        simulate_observed(
-            sys.as_mut(),
-            &model,
-            &wl,
-            Some((&inj, &retry)),
-            &mut rec,
-            Some(&mut attr),
-        )
-    } else {
-        simulate_observed(sys.as_mut(), &model, &wl, None, &mut rec, Some(&mut attr))
-    };
+    let inj = FaultInjector::new(faults, fault_seed);
+    let fault_args = injected.then_some((&inj, &retry));
+    let (m, _, fault_log) = simulate_scheduled(
+        sys.as_mut(),
+        &model,
+        &wl,
+        &SchedOptions::fifo(),
+        fault_args,
+        &mut rec,
+        Some(&mut attr),
+    );
     println!(
         "{} per-token latency attribution under {:.1} req/s for {:.0}s ({}-{} ctx tokens):",
         sys.name(),
@@ -1389,6 +1355,39 @@ mod tests {
     }
 
     #[test]
+    fn session_loadtest_composes_with_replica_faults() {
+        // Sessions and fleet fault domains run in one loop; the command
+        // fails on a fleet or session audit violation.
+        loadtest(&args(&[
+            "--model",
+            "1b",
+            "--duration",
+            "8",
+            "--ctx-min",
+            "16384",
+            "--ctx-max",
+            "32768",
+            "--replicas",
+            "2",
+            "--router",
+            "affinity",
+            "--sessions",
+            "4",
+            "--turns",
+            "3",
+            "--crash-profile",
+            "0.1",
+            "--crash-seed",
+            "11",
+            "--breaker",
+            "on",
+            "--shed-cap",
+            "2",
+        ]))
+        .unwrap();
+    }
+
+    #[test]
     fn bad_session_flags_are_rejected() {
         let turns = loadtest(&args(&["--sessions", "4", "--turns", "0"])).unwrap_err();
         assert!(turns.contains("--turns"), "{turns}");
@@ -1405,16 +1404,6 @@ mod tests {
         assert!(orphan.contains("--sessions"), "{orphan}");
         assert!(loadtest(&args(&["--reuse", "0.5"])).is_err());
         assert!(loadtest(&args(&["--prefix-cache", "512"])).is_err());
-        // The session driver runs the fleet fault-free.
-        assert!(loadtest(&args(&[
-            "--replicas",
-            "2",
-            "--sessions",
-            "4",
-            "--crash-profile",
-            "mild",
-        ]))
-        .is_err());
     }
 
     #[test]

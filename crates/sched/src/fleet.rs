@@ -119,6 +119,9 @@ pub struct SessionSummary {
     /// Follow-up turns priced as full re-prefill (no usable cached copy, or
     /// the pull was dearer than recomputing).
     pub cold_turns: usize,
+    /// Follow-up turns the admission controller shed (fault-domain runs
+    /// only): never placed, so neither a hit, a pull nor cold.
+    pub shed_turns: usize,
     /// Every cross-replica pull, in decision order.
     pub pulls: Vec<PullRecord>,
 }
@@ -129,10 +132,16 @@ impl SessionSummary {
         self.pulls.iter().map(|p| p.pages).sum()
     }
 
-    /// The one-line summary appended to fleet text reports.
+    /// The one-line summary appended to fleet text reports. The shed count
+    /// appears only when non-zero.
     pub fn to_text(&self) -> String {
+        let shed = if self.shed_turns > 0 {
+            format!(" | shed {}", self.shed_turns)
+        } else {
+            String::new()
+        };
         format!(
-            "  sessions: {} sessions, {} turns | prefix hits {} | pulls {} ({} pages) | cold {}\n",
+            "  sessions: {} sessions, {} turns | prefix hits {} | pulls {} ({} pages) | cold {}{shed}\n",
             self.sessions,
             self.turns,
             self.prefix_hits,
@@ -222,20 +231,10 @@ impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
     /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica; they are sorted here.
-    pub fn assemble(
-        router: RouterPolicy,
-        replicas: Vec<SchedReport>,
-        placements: Vec<Placement>,
-        samples: [(Vec<f64>, Vec<f64>); 3],
-    ) -> Self {
-        Self::assemble_with_faults(router, replicas, placements, samples, None)
-    }
-
-    /// [`FleetReport::assemble`] with the fault/overload outcome attached;
-    /// the audit then also checks the redispatch and shed logs (placed +
-    /// shed = offered; per-replica arrivals = placements + redispatches
-    /// into it).
+    /// samples across every replica; they are sorted here. With the
+    /// fault/overload outcome attached the audit also checks the
+    /// redispatch and shed logs (placed + shed = offered; per-replica
+    /// arrivals = placements + redispatches into it).
     pub fn assemble_with_faults(
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
@@ -520,7 +519,7 @@ fn audit(
 ///    nor pulled from elsewhere.
 /// 3. Turn conservation: every follow-up turn (turns minus the opening turn
 ///    of each session) was priced exactly one way — local hit, pull, or
-///    cold re-prefill.
+///    cold re-prefill — or shed before placement.
 fn audit_sessions(s: &SessionSummary, replicas: &[SchedReport], offered: usize) -> Option<String> {
     for p in &s.pulls {
         if p.from >= replicas.len() || p.to >= replicas.len() {
@@ -557,12 +556,13 @@ fn audit_sessions(s: &SessionSummary, replicas: &[SchedReport], offered: usize) 
         ));
     }
     let follow_ups = s.turns - s.sessions;
-    if s.prefix_hits + s.pulls.len() + s.cold_turns != follow_ups {
+    if s.prefix_hits + s.pulls.len() + s.cold_turns + s.shed_turns != follow_ups {
         return Some(format!(
-            "{} hits + {} pulls + {} cold != {follow_ups} follow-up turns (turns lost)",
+            "{} hits + {} pulls + {} cold + {} shed != {follow_ups} follow-up turns (turns lost)",
             s.prefix_hits,
             s.pulls.len(),
-            s.cold_turns
+            s.cold_turns,
+            s.shed_turns
         ));
     }
     None
@@ -604,11 +604,12 @@ mod tests {
 
     #[test]
     fn clean_fleet_passes_the_audit() {
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
             vec![report([1, 1, 0]), report([1, 0, 1])],
             vec![(0, 0), (1, 1), (2, 0), (3, 1)],
             no_samples(),
+            None,
         );
         assert_eq!(f.audit_violation, None);
         assert_eq!(f.total_arrived(), 4);
@@ -619,11 +620,12 @@ mod tests {
 
     #[test]
     fn double_placement_is_caught() {
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::RoundRobin,
             vec![report([2, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (0, 0), (1, 1)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.as_deref().unwrap().contains("twice"));
     }
@@ -631,11 +633,12 @@ mod tests {
     #[test]
     fn lost_arrival_is_caught() {
         // Router placed 2 on replica 0, but replica 0 only saw 1 arrive.
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::RoundRobin,
             vec![report([1, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (1, 0)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.is_some());
     }
@@ -644,11 +647,12 @@ mod tests {
     fn replica_ledger_violations_propagate() {
         let mut bad = report([1, 0, 0]);
         bad.leaked_pages = 3;
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
             vec![bad],
             vec![(0, 0)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.as_deref().unwrap().contains("leaked"));
     }
@@ -749,11 +753,12 @@ mod tests {
 
     #[test]
     fn fault_free_summary_lines_are_absent() {
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
             vec![report([1, 0, 0])],
             vec![(0, 0)],
             no_samples(),
+            None,
         );
         assert_eq!(f.faults, None);
         let text = f.to_text();
@@ -770,17 +775,19 @@ mod tests {
         r0.pages.prefix_hits = 1;
         let mut r1 = report([2, 0, 0]);
         r1.pages.prefix_hits = 1;
-        let mut f = FleetReport::assemble(
+        let mut f = FleetReport::assemble_with_faults(
             RouterPolicy::Affinity,
             vec![r0, r1],
             vec![(0, 0), (1, 1), (2, 0), (3, 1)],
             no_samples(),
+            None,
         );
         f.attach_sessions(SessionSummary {
             sessions: 2,
             turns: 4,
             prefix_hits: 1,
             cold_turns: 0,
+            shed_turns: 0,
             pulls: vec![PullRecord {
                 id: 3,
                 hash: 0xfeed,
@@ -803,11 +810,12 @@ mod tests {
     #[test]
     fn session_audit_catches_bad_pulls_and_lost_turns() {
         let base = || {
-            FleetReport::assemble(
+            FleetReport::assemble_with_faults(
                 RouterPolicy::Affinity,
                 vec![report([2, 0, 0]), report([2, 0, 0])],
                 vec![(0, 0), (1, 1), (2, 0), (3, 1)],
                 no_samples(),
+                None,
             )
         };
         let pull = |from: usize, to: usize, pages: usize| PullRecord {
@@ -823,6 +831,7 @@ mod tests {
             turns: 4,
             prefix_hits: hits,
             cold_turns: cold,
+            shed_turns: 0,
             pulls,
         };
         // Self-pull.
@@ -859,12 +868,61 @@ mod tests {
     }
 
     #[test]
+    fn session_audit_counts_shed_follow_ups() {
+        // 2 sessions x 2 turns: turn 3 (a follow-up) was shed fleet-wide;
+        // the other follow-up hit on r0. The shed turn closes the
+        // follow-up identity and shows up in the text only when non-zero.
+        let mut r0 = report([2, 0, 0]);
+        r0.pages.prefix_hits = 1;
+        let mut faults = FleetFaultSummary::new(2, 4);
+        faults.shed.push(ShedRecord {
+            id: 3,
+            class: SloClass::Interactive,
+            at_ns: 1e9,
+            reason: "queue-cap",
+        });
+        let base = || {
+            FleetReport::assemble_with_faults(
+                RouterPolicy::Affinity,
+                vec![r0.clone(), report([1, 0, 0])],
+                vec![(0, 0), (1, 1), (2, 0)],
+                no_samples(),
+                Some(faults.clone()),
+            )
+        };
+        let sess = |shed_turns: usize| SessionSummary {
+            sessions: 2,
+            turns: 4,
+            prefix_hits: 1,
+            cold_turns: 0,
+            shed_turns,
+            pulls: Vec::new(),
+        };
+        let mut f = base();
+        f.attach_sessions(sess(1));
+        assert_eq!(f.audit_violation, None);
+        assert!(
+            f.to_text().contains("| cold 0 | shed 1\n"),
+            "{}",
+            f.to_text()
+        );
+        let mut lost = base();
+        lost.attach_sessions(sess(0));
+        assert!(lost
+            .audit_violation
+            .as_deref()
+            .unwrap()
+            .contains("turns lost"));
+        assert!(!sess(0).to_text().contains("shed"));
+    }
+
+    #[test]
     fn roll_up_merges_samples_not_percentiles() {
         // Replica 0 has fast tokens, replica 1 slow ones; the fleet p99
         // must come from the merged population, not an average.
         let mut samples = no_samples();
         samples[0].0 = vec![1.0, 1.0, 1.0];
-        let f = FleetReport::assemble(
+        let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (1, 0), (2, 1)],
@@ -872,6 +930,7 @@ mod tests {
                 samples[0].0.push(9.0);
                 samples
             },
+            None,
         );
         assert_eq!(f.per_class[0].p99_token_ms, 9.0);
         assert_eq!(f.per_class[0].p50_token_ms, 1.0);

@@ -39,6 +39,7 @@ use longsight_sched::{
     SloClass, SloMix,
 };
 use longsight_tensor::SimRng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// XOR'd into the workload seed for the SLO-class stream, so class draws
@@ -122,8 +123,9 @@ impl SchedOptions {
 }
 
 /// Fleet-level fault-domain and overload-control knobs for
-/// [`simulate_fleet_faulty`]. The [`FleetFaultOptions::disabled`] value
-/// makes that entry point byte-identical to [`simulate_fleet`].
+/// [`simulate_fleet_with`], independent of its session options. The
+/// [`FleetFaultOptions::disabled`] value arms nothing: the run interns no
+/// fault track and its report carries no fault summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultOptions {
     /// Replica crash/recovery and DReX-brownout schedule parameters.
@@ -142,8 +144,7 @@ pub struct FleetFaultOptions {
 }
 
 impl FleetFaultOptions {
-    /// No replica faults, no breaker, no shedding: the fleet is immortal
-    /// and the simulation is byte-identical to the pre-fault-domain path.
+    /// No replica faults, no breaker, no shedding: the fleet is immortal.
     pub fn disabled() -> Self {
         Self {
             profile: ReplicaFaultProfile::disabled(),
@@ -154,8 +155,8 @@ impl FleetFaultOptions {
     }
 
     /// Whether any fault-domain machinery is armed (crash/brownout
-    /// schedule, breaker, or shedding). When false the fleet driver runs
-    /// the exact legacy code path.
+    /// schedule, breaker, or shedding). When false every replica passes
+    /// the health gate and the run reports no fault summary.
     pub fn is_active(&self) -> bool {
         self.profile.is_enabled() || self.breaker.is_some() || self.shed_queue_cap.is_some()
     }
@@ -179,7 +180,6 @@ fn class_queue_cap(base: usize, class: SloClass) -> usize {
     }
 }
 
-/// Trace instant name of a breaker transition.
 /// Routing eligibility for a breaker-guarded fleet. Normally each
 /// replica's breaker state is used as-is, but when *every* breaker is
 /// open the tripped-open ones (slow, not dead) are offered as half-open
@@ -199,6 +199,7 @@ fn breaker_health(bs: &[CircuitBreaker]) -> Vec<BreakerState> {
     health
 }
 
+/// Trace instant name of a breaker transition.
 fn breaker_instant_name(state: BreakerState) -> &'static str {
     match state {
         BreakerState::Closed => "breaker.close",
@@ -524,7 +525,7 @@ pub fn simulate(
     model: &ModelConfig,
     workload: &WorkloadConfig,
 ) -> ServeMetrics {
-    sched_impl(
+    simulate_scheduled(
         system,
         model,
         workload,
@@ -534,96 +535,6 @@ pub fn simulate(
         None,
     )
     .0
-}
-
-/// [`simulate`] under token-level fault injection.
-///
-/// Each generated token resolves through the retry/deadline degradation
-/// policy ([`crate::degrade::resolve_token`]): sampled offload timeouts cost
-/// the full deadline plus backoff, exhausted retries degrade the token to
-/// dense window-only attention, and hard faults kill the request. The
-/// synchronized batch is paced by its worst token, so a step's latency grows
-/// by the largest penalty in the batch.
-///
-/// Returns the metrics together with the deterministic fault event log —
-/// every decision derives from `(inj.seed, request id, token index,
-/// attempt)`, so two runs with the same seed produce byte-identical logs and
-/// identical metrics at any thread count. With a disabled injector this is
-/// exactly [`simulate`] plus an empty log.
-pub fn simulate_with_faults(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    inj: &FaultInjector,
-    retry: &RetryPolicy,
-) -> (ServeMetrics, FaultLog) {
-    let (m, _, log) = sched_impl(
-        system,
-        model,
-        workload,
-        &SchedOptions::fifo(),
-        Some((inj, retry)),
-        &mut Recorder::disabled(),
-        None,
-    );
-    (m, log)
-}
-
-/// [`simulate`] / [`simulate_with_faults`] with observability attached.
-///
-/// Every decode step emits a `decode.step` span on the `serving` track
-/// (with a nested `decode.retry_wait` child when fault penalties stretch
-/// the step), the first evaluation of each distinct `(batch, context)`
-/// shape records the system's expanded internal timeline at the simulated
-/// time it was first needed, every fault event lands on the `faults` track
-/// as an instant (1:1 with the returned [`FaultLog`]), scheduling decisions
-/// land on the `sched` track as instants, and the run's aggregate
-/// counters/latency histograms populate `rec.metrics`. When `attr` is
-/// given, each generated token's latency is decomposed into the eight
-/// attribution components.
-///
-/// The simulated timeline is bit-identical to the unobserved entry points:
-/// recording only reads simulation state.
-pub fn simulate_observed(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    faults: Option<(&FaultInjector, &RetryPolicy)>,
-    rec: &mut Recorder,
-    attr: Option<&mut TokenAttribution>,
-) -> (ServeMetrics, FaultLog) {
-    let (m, _, log) = sched_impl(
-        system,
-        model,
-        workload,
-        &SchedOptions::fifo(),
-        faults,
-        rec,
-        attr,
-    );
-    (m, log)
-}
-
-/// The full serving simulation under an explicit scheduler configuration,
-/// returning the per-class [`SchedReport`] alongside the aggregate metrics.
-///
-/// With `SchedOptions::fifo()` this is exactly [`simulate_observed`]
-/// (bit-identical metrics). With an SLO-aware policy, admission allocates
-/// HBM window pages and DReX tail pages against the system's
-/// [`ServingSystem::kv_geometry`], prefill is chunked (overlapping the
-/// memory-bound decode steps), and best-effort requests are preempted to
-/// DReX-resident state when higher classes need HBM pages, paying the
-/// cheaper of restore-over-CXL or recompute-on-GPU at resume.
-pub fn simulate_scheduled(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    faults: Option<(&FaultInjector, &RetryPolicy)>,
-    rec: &mut Recorder,
-    attr: Option<&mut TokenAttribution>,
-) -> (ServeMetrics, SchedReport, FaultLog) {
-    sched_impl(system, model, workload, opts, faults, rec, attr)
 }
 
 /// Translates scheduler decision events into `sched.*` trace instants.
@@ -847,7 +758,43 @@ fn spec_pacing(s: &SpecStep, hit_step_ns: f64, misses: usize, denied: usize) -> 
     }
 }
 
-fn sched_impl(
+/// The full single-replica serving simulation: an explicit scheduler
+/// configuration, optional token-level fault injection, observability and
+/// per-token attribution, returning the per-class [`SchedReport`] and the
+/// fault log alongside the aggregate metrics.
+///
+/// **Scheduling.** With `SchedOptions::fifo()` and no faults this is
+/// exactly [`simulate`] (bit-identical metrics). With an SLO-aware policy,
+/// admission allocates HBM window pages and DReX tail pages against the
+/// system's [`ServingSystem::kv_geometry`], prefill is chunked
+/// (overlapping the memory-bound decode steps), and best-effort requests
+/// are preempted to DReX-resident state when higher classes need HBM
+/// pages, paying the cheaper of restore-over-CXL or recompute-on-GPU at
+/// resume.
+///
+/// **Faults.** Under `faults`, each generated token resolves through the
+/// retry/deadline degradation policy ([`crate::degrade::resolve_token`]):
+/// sampled offload timeouts cost the full deadline plus backoff,
+/// exhausted retries degrade the token to dense window-only attention, and
+/// hard faults kill the request. The synchronized batch is paced by its
+/// worst token. Every decision derives from `(inj.seed, request id, token
+/// index, attempt)`, so two runs with the same seed produce byte-identical
+/// logs and identical metrics at any thread count; a disabled injector
+/// gives the fault-free run plus an empty log.
+///
+/// **Observability.** Every decode step emits a `decode.step` span on the
+/// `serving` track (with a nested `decode.retry_wait` child when fault
+/// penalties stretch the step), the first evaluation of each distinct
+/// `(batch, context)` shape records the system's expanded internal
+/// timeline at the simulated time it was first needed, every fault event
+/// lands on the `faults` track as an instant (1:1 with the returned
+/// [`FaultLog`]), scheduling decisions land on the `sched` track as
+/// instants, and the run's aggregate counters/latency histograms populate
+/// `rec.metrics`. When `attr` is given, each generated token's latency is
+/// decomposed into the attribution components. Recording only reads
+/// simulation state, so the simulated timeline is bit-identical with
+/// `rec` enabled or disabled.
+pub fn simulate_scheduled(
     system: &mut dyn ServingSystem,
     model: &ModelConfig,
     workload: &WorkloadConfig,
@@ -1313,13 +1260,23 @@ struct ReplicaSim {
     brownout_factor: f64,
     /// Tokens decoded under a shrunken brownout budget.
     degraded_tokens: usize,
-    /// Completion log with classes, in completion order — the observable
-    /// signal the circuit breaker is driven by.
-    completions: Vec<(SloClass, f64)>,
-    /// Prefix publications scheduled by the session driver: `(request id,
-    /// content hash, pages)`, inserted into the replica's prefix cache
-    /// when that request completes. Always empty on sessionless runs.
+    /// What the circuit breaker has not seen yet; `None` on runs without
+    /// a breaker, so nothing is buffered.
+    breaker_feed: Option<BreakerFeed>,
+    /// Session-turn prefix publications: `(request id, content hash,
+    /// tokens)`, inserted into this replica's prefix cache (at its own
+    /// page size) when that request completes here. Always empty on
+    /// sessionless runs.
     pending_publish: Vec<(usize, u64, usize)>,
+}
+
+/// The observable signals a replica produced since its breaker was last
+/// fed — completions with classes in completion order, and tokens decoded
+/// under a brownout. [`feed_breakers`] drains it at every arrival.
+#[derive(Default)]
+struct BreakerFeed {
+    completions: Vec<(SloClass, f64)>,
+    degraded_tokens: u64,
 }
 
 impl ReplicaSim {
@@ -1328,6 +1285,7 @@ impl ReplicaSim {
         opts: &SchedOptions,
         rec: &mut Recorder,
         idx: usize,
+        feeds_breaker: bool,
     ) -> Self {
         let mut sched = Scheduler::new(sched_config_for(geometry, opts));
         sched.set_event_recording(rec.is_enabled());
@@ -1350,7 +1308,7 @@ impl ReplicaSim {
             down: false,
             brownout_factor: 1.0,
             degraded_tokens: 0,
-            completions: Vec::new(),
+            breaker_feed: feeds_breaker.then(BreakerFeed::default),
             pending_publish: Vec::new(),
         }
     }
@@ -1423,7 +1381,8 @@ impl ReplicaSim {
     }
 
     /// One synchronized step, identical in structure to the single-replica
-    /// loop's fault-free path (fleet mode does not inject faults).
+    /// loop's fault-free path: fleet replicas take no token-level faults,
+    /// but a replica-level brownout shrinks the step's offload share.
     fn step(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder) {
         let plan = self.sched.plan_step();
         let report = if plan.decode_users > 0 {
@@ -1442,8 +1401,8 @@ impl ReplicaSim {
             None
         };
         let mut base_dt = report.map_or(0.0, |r| r.step_ns);
-        // Same speculation resolution as the single-replica loop (fleet
-        // mode injects no faults, so no void draws); draws key off the
+        // Same speculation resolution as the single-replica loop (no
+        // token-level faults, so no void draws); draws key off the
         // global request id, so a request resolves identically wherever
         // the router placed it.
         if let Some(s) = report.and_then(|r| r.spec) {
@@ -1518,6 +1477,9 @@ impl ReplicaSim {
             }
             if self.brownout_factor < 1.0 {
                 self.degraded_tokens += decoding;
+                if let Some(feed) = self.breaker_feed.as_mut() {
+                    feed.degraded_tokens += decoding as u64;
+                }
                 if ts_on {
                     rec.timeseries.rate_add(
                         &format!("{}degraded_tok", self.ts_prefix),
@@ -1532,12 +1494,15 @@ impl ReplicaSim {
             // (session runs only; the list stays empty otherwise).
             if !self.pending_publish.is_empty() {
                 if let Some(pos) = self.pending_publish.iter().position(|p| p.0 == c.id) {
-                    let (_, hash, pages) = self.pending_publish.swap_remove(pos);
+                    let (_, hash, tokens) = self.pending_publish.swap_remove(pos);
+                    let pages = self.sched.pages().config().pages_for(tokens);
                     self.sched.pages_mut().prefix_insert(hash, pages);
                 }
             }
             self.request_latencies.push(c.latency_ms);
-            self.completions.push((c.class, c.latency_ms));
+            if let Some(feed) = self.breaker_feed.as_mut() {
+                feed.completions.push((c.class, c.latency_ms));
+            }
             if ts_on {
                 rec.timeseries
                     .observe_ms("lat.request_ms", self.now, c.latency_ms);
@@ -1552,26 +1517,8 @@ impl ReplicaSim {
 }
 
 /// Closed-loop serving over a fleet of replicas behind a deterministic
-/// front-end router.
-///
-/// The offered load is generated exactly as in [`simulate_scheduled`]
-/// (same seed, same streams); the router then places each arrival on one
-/// replica — join-shortest-queue on free HBM pages with class-aware
-/// spillover, or round-robin — from [`Scheduler::load`] snapshots taken
-/// after every replica has advanced to the arrival time. Placement is a
-/// pure function of `(seed, arrival index, load)`, so the whole fleet
-/// timeline is bit-identical at any worker-thread count.
-///
-/// With a single system this delegates to the single-replica path and is
-/// bit-identical to [`simulate_scheduled`] (the report comes back wrapped
-/// in a degenerate [`FleetReport`]). This entry point never injects
-/// replica faults; [`simulate_fleet_faulty`] adds the fleet failure
-/// domains on top and is byte-identical to this one when its options are
-/// disabled.
-///
-/// Routing decisions land on the `router` track as `route.place`
-/// instants; each replica gets its own `r<i>.serving` / `r<i>.sched`
-/// tracks.
+/// front-end router, with no replica faults and no session workload:
+/// [`simulate_fleet_with`] with both option sets disabled.
 ///
 /// # Panics
 ///
@@ -1584,47 +1531,121 @@ pub fn simulate_fleet(
     router_policy: RouterPolicy,
     rec: &mut Recorder,
 ) -> (ServeMetrics, FleetReport) {
-    simulate_fleet_faulty(
+    simulate_fleet_with(
         systems,
         model,
         workload,
         opts,
         router_policy,
         &FleetFaultOptions::disabled(),
+        &SessionOptions::disabled(),
         rec,
     )
 }
 
-/// [`simulate_fleet`] with fleet-level failure domains armed: a
-/// deterministic replica crash/brownout timeline drawn from
-/// `fopts.fault_seed` (never the workload seed — offered load and fault
-/// schedule are independent streams), per-replica circuit breakers
-/// driving health-aware failover routing, and an SLO-aware admission
-/// controller that sheds arrivals the fleet has no queue room for.
+/// A fault-free fleet under a session workload: [`simulate_fleet_with`]
+/// with fleet fault domains disabled.
 ///
-/// A crash evacuates every in-flight request on the replica (its KV pages
+/// # Panics
+///
+/// Panics when `systems` is empty.
+pub fn simulate_fleet_sessions(
+    systems: &mut [Box<dyn ServingSystem>],
+    model: &ModelConfig,
+    workload: &WorkloadConfig,
+    opts: &SchedOptions,
+    router_policy: RouterPolicy,
+    sess: &SessionOptions,
+    rec: &mut Recorder,
+) -> (ServeMetrics, FleetReport) {
+    simulate_fleet_with(
+        systems,
+        model,
+        workload,
+        opts,
+        router_policy,
+        &FleetFaultOptions::disabled(),
+        sess,
+        rec,
+    )
+}
+
+/// Closed-loop serving over a fleet of replicas behind a deterministic
+/// front-end router, with replica fault domains (`fopts`) and a multi-turn
+/// session workload (`sess`) as independent options of one loop.
+///
+/// **Routing.** The offered load is generated exactly as in
+/// [`simulate_scheduled`] (same seed, same streams), or by the session
+/// generator when `sess` is armed (see [`crate::session`]). Before each
+/// arrival every replica advances to the arrival time, and the router
+/// places the arrival from the [`Scheduler::load`] snapshots —
+/// join-shortest-queue on free HBM pages with class-aware spillover,
+/// round-robin, or session affinity. Placement is a pure function of
+/// `(seed, arrival index, load)`, so the whole fleet timeline is
+/// bit-identical at any worker-thread count. Routing decisions land on
+/// the `router` track as `route.place` instants; each replica gets its
+/// own `r<i>.serving` / `r<i>.sched` tracks.
+///
+/// **Fault domains.** A deterministic replica crash/brownout timeline is
+/// drawn from `fopts.fault_seed` (never the workload seed — offered load
+/// and fault schedule are independent streams). Per-replica circuit
+/// breakers drive health-aware failover routing, and an SLO-aware
+/// admission controller sheds arrivals the fleet has no queue room for. A
+/// crash evacuates every in-flight request on the replica (its KV pages
 /// are gone) and redispatches each through the router onto a surviving
 /// replica, where it queues behind the restore-vs-recompute rebuild
 /// charge of that replica's [`KvDeviceGeometry`]. Every arrival is placed
 /// once, redispatched with a recorded reason, or shed — never lost; the
 /// [`FleetReport`] audit enforces exactly that.
 ///
-/// With [`FleetFaultOptions::disabled`] this runs the legacy code path
-/// op-for-op: placements, metrics, report, and trace are byte-identical
-/// to [`simulate_fleet`].
+/// **Sessions.** Each session's turns extend the same growing context,
+/// and every completed turn publishes its KV-prefix under a content hash
+/// into its replica's prefix-cache carve-out. A follow-up turn resumes
+/// one of three ways, cheapest first:
+///
+/// 1. **Local hit** — the placement replica still caches the prefix: the
+///    turn pins it and pays prefill only for the suffix (the new user
+///    message).
+/// 2. **Pooled-DReX pull** — another replica owns the prefix: the pages
+///    transfer over the CXL fabric at the target geometry's per-page
+///    restore price × 2 (two fabric hops through the pooled tier — the
+///    same [`longsight_cxl::CxlLink`]-derived transfer model as a
+///    preemption restore), charged on top of the suffix prefill and taken
+///    only when cheaper than re-prefilling from scratch. Pulls are traced
+///    as `prefix.pull` spans on the `sessions` track and logged as
+///    [`PullRecord`]s.
+/// 3. **Cold re-prefill** — no usable copy (or the pull is dearer): full
+///    prefill, exactly like a fresh request.
+///
+/// Under [`RouterPolicy::Affinity`] a resuming turn lands on its owning
+/// replica while that replica passes the health gate and has free HBM,
+/// and otherwise falls back to cost-aware JSQ with the owner's free-page
+/// key credited by the cached prefix size. A crash wipes the replica's
+/// prefix cache; a redispatched turn's pending publication follows it to
+/// the redispatch target. A shed follow-up turn is counted in
+/// [`SessionSummary::shed_turns`].
+///
+/// Disabled options leave no trace: a fault-free run interns no
+/// `fleet.faults` track and attaches no fault summary, a sessionless run
+/// no `sessions` track and no session summary. A single system with
+/// sessions off runs the single-replica loop and is bit-identical to
+/// [`simulate_scheduled`] (the report comes back wrapped in a degenerate
+/// [`FleetReport`]).
 ///
 /// # Panics
 ///
 /// Panics when `systems` is empty, or when fault options are active over
 /// a single-replica fleet (there is nothing to fail over to; the CLI
 /// rejects the combination).
-pub fn simulate_fleet_faulty(
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_fleet_with(
     systems: &mut [Box<dyn ServingSystem>],
     model: &ModelConfig,
     workload: &WorkloadConfig,
     opts: &SchedOptions,
     router_policy: RouterPolicy,
     fopts: &FleetFaultOptions,
+    sess: &SessionOptions,
     rec: &mut Recorder,
 ) -> (ServeMetrics, FleetReport) {
     assert!(!systems.is_empty(), "fleet needs at least one replica");
@@ -1632,28 +1653,40 @@ pub fn simulate_fleet_faulty(
         systems.len() > 1 || !fopts.is_active(),
         "fleet fault domains need at least two replicas"
     );
-    if systems.len() == 1 {
-        let (m, rep, _) = sched_impl(systems[0].as_mut(), model, workload, opts, None, rec, None);
+    let sessions_on = sess.is_active();
+    if systems.len() == 1 && !sessions_on {
+        let (m, rep, _) =
+            simulate_scheduled(systems[0].as_mut(), model, workload, opts, None, rec, None);
         let mut fleet = FleetReport::single(router_policy, rep);
         fleet.slo_burn = m.slo_burn.clone();
         return (m, fleet);
     }
     let n = systems.len();
     let horizon_ns = workload.duration_s * 1e9;
-    let (mut arrivals, mut classes, mut prefill_ns) = gen_arrivals(model, workload, &opts.mix);
+    let (mut arrivals, mut classes, mut prefill_ns, mut turns) = if sessions_on {
+        session::gen_session_turns(model, workload, &opts.mix, sess)
+    } else {
+        let (a, c, p) = gen_arrivals(model, workload, &opts.mix);
+        (a, c, p, Vec::new())
+    };
     let total_arrived = arrivals.len();
     let router = Router::new(router_policy, workload.seed);
+    // Tracks intern in the order each single-feature run has always used
+    // (`router`, then `fleet.faults`, then `sessions`, then the replica
+    // tracks), and only for armed features, so fault-only and session-only
+    // traces keep their exact track list.
     let router_track = rec.track("router");
-
     let active = fopts.is_active();
-    // The fault track is interned only when a fault domain is armed, so
-    // disabled runs keep their exact track list.
-    let fault_track = if active {
-        Some(rec.track("fleet.faults"))
+    let track = if active {
+        rec.track("fleet.faults")
     } else {
-        None
+        router_track
     };
-    let track = fault_track.unwrap_or(router_track);
+    let sessions_track = if sessions_on {
+        rec.track("sessions")
+    } else {
+        router_track
+    };
     let mut events: Vec<ReplicaEvent> = if fopts.profile.is_enabled() {
         fleet_schedule(&fopts.profile, fopts.fault_seed, n, workload.duration_s)
     } else {
@@ -1665,21 +1698,41 @@ pub fn simulate_fleet_faulty(
         .map(|cfg| (0..n).map(|_| CircuitBreaker::new(cfg)).collect());
     let mut summary = FleetFaultSummary::new(n, total_arrived);
     let mut down_since = vec![0.0f64; n];
-    let mut fed_completions = vec![0usize; n];
-    let mut fed_degraded = vec![0u64; n];
+    let all_closed = vec![BreakerState::Closed; n];
 
-    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(systems.len());
-    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(systems.len());
+    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
+    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
     for (i, sys) in systems.iter_mut().enumerate() {
         let g = geometry_for(sys.as_ref(), opts);
-        replicas.push(ReplicaSim::new(&g, opts, rec, i));
+        let mut r = ReplicaSim::new(&g, opts, rec, i, breakers.is_some());
+        if sessions_on {
+            r.sched
+                .pages_mut()
+                .set_prefix_capacity(sess.prefix_cache_pages);
+        }
+        replicas.push(r);
         geometries.push(g);
     }
 
+    // Content hash -> replica whose cache holds (or will hold) the prefix.
+    let mut owners: HashMap<u64, usize> = HashMap::new();
+    let mut session_summary = SessionSummary {
+        sessions: 0,
+        turns: total_arrived,
+        prefix_hits: 0,
+        cold_turns: 0,
+        shed_turns: 0,
+        pulls: Vec::new(),
+    };
     let mut placements: Vec<Placement> = Vec::with_capacity(total_arrived);
     while let Some(a) = arrivals.pop() {
         let pf_ns = prefill_ns.pop().expect("paired with arrivals");
         let class = classes.pop().expect("paired with arrivals");
+        let turn = turns.pop();
+        let follow_up = turn.as_ref().is_some_and(|t| t.turn > 0);
+        if turn.is_some() && !follow_up {
+            session_summary.sessions += 1;
+        }
         while events.last().is_some_and(|e| e.at_ns <= a.arrival_ns) {
             let e = events.pop().expect("checked non-empty");
             apply_fleet_event(
@@ -1692,6 +1745,7 @@ pub fn simulate_fleet_faulty(
                 &mut breakers,
                 &mut summary,
                 &mut down_since,
+                &mut owners,
                 horizon_ns,
                 rec,
                 track,
@@ -1701,15 +1755,7 @@ pub fn simulate_fleet_faulty(
             r.advance_to(sys.as_mut(), rec, a.arrival_ns, horizon_ns);
         }
         if let Some(bs) = breakers.as_mut() {
-            feed_breakers(
-                &replicas,
-                bs,
-                &mut fed_completions,
-                &mut fed_degraded,
-                a.arrival_ns,
-                rec,
-                track,
-            );
+            feed_breakers(&mut replicas, bs, a.arrival_ns, rec, track);
             if rec.timeseries.is_enabled() {
                 for (i, b) in bs.iter().enumerate() {
                     rec.timeseries.gauge(
@@ -1721,66 +1767,63 @@ pub fn simulate_fleet_faulty(
             }
         }
         let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
-        let pick = if !active {
-            match router.route(a.id, class, &loads) {
-                Ok(p) => p,
-                // Unreachable over a non-empty fleet; a lost arrival here
-                // would trip the report audit, not vanish silently.
-                Err(_) => continue,
-            }
-        } else {
-            // Health gate first (a naive baseline sees every replica as
-            // closed — it stays blind to downtime and wedges whatever it
-            // places on a dead node), then the admission controller's
-            // per-class queue caps on top.
-            let health: Vec<BreakerState> = match breakers.as_ref() {
-                Some(bs) => breaker_health(bs),
-                None => vec![BreakerState::Closed; n],
-            };
-            let gated: Vec<BreakerState> = match fopts.shed_queue_cap {
-                Some(cap) => health
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        if replicas[i].sched.queue_depth(class) >= class_queue_cap(cap, class) {
-                            BreakerState::Open
-                        } else {
-                            s
-                        }
-                    })
-                    .collect(),
-                None => health.clone(),
-            };
-            match router.route_healthy(a.id, class, &loads, &gated) {
-                Ok(p) => p,
-                Err(_) => {
-                    let reason = if health.iter().all(|&s| s == BreakerState::Open) {
-                        "no-healthy-replica"
-                    } else {
-                        "queue-cap"
-                    };
-                    summary.shed.push(ShedRecord {
-                        id: a.id,
-                        class,
-                        at_ns: a.arrival_ns,
-                        reason,
-                    });
-                    if rec.is_enabled() {
-                        rec.instant_with(
-                            track,
-                            "shed",
-                            a.arrival_ns,
-                            &[
-                                ("id", ArgVal::U(a.id as u64)),
-                                ("class", ArgVal::S(class.name())),
-                                ("reason", ArgVal::S(reason)),
-                            ],
-                        );
-                    }
-                    rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
-                    continue;
+        // The owning replica only counts while its cache still holds the
+        // prefix (LRU reclaim or a crash wipe orphans the owner map entry).
+        let (owner, owner_pages) = turn
+            .as_ref()
+            .and_then(|t| t.pin_hash)
+            .and_then(|h| {
+                let o = *owners.get(&h)?;
+                Some((o, replicas[o].sched.pages().prefix_lookup(h)?))
+            })
+            .map_or((None, 0), |(o, p)| (Some(o), p));
+        // Health gate first (a naive baseline sees every replica as closed
+        // — it stays blind to downtime and wedges whatever it places on a
+        // dead node), then the admission controller's per-class queue caps
+        // on top. With neither armed every state is closed, and without
+        // an affinity owner `route_affine` places exactly like
+        // `Router::route`.
+        let mut gated: Cow<[BreakerState]> = match breakers.as_ref() {
+            Some(bs) => Cow::Owned(breaker_health(bs)),
+            None => Cow::Borrowed(&all_closed),
+        };
+        let none_healthy = gated.iter().all(|&s| s == BreakerState::Open);
+        if let Some(cap) = fopts.shed_queue_cap {
+            for (s, r) in gated.to_mut().iter_mut().zip(&replicas) {
+                if r.sched.queue_depth(class) >= class_queue_cap(cap, class) {
+                    *s = BreakerState::Open;
                 }
             }
+        }
+        let Ok(pick) = router.route_affine(a.id, class, &loads, &gated, owner, owner_pages) else {
+            let reason = if none_healthy {
+                "no-healthy-replica"
+            } else {
+                "queue-cap"
+            };
+            summary.shed.push(ShedRecord {
+                id: a.id,
+                class,
+                at_ns: a.arrival_ns,
+                reason,
+            });
+            if follow_up {
+                session_summary.shed_turns += 1;
+            }
+            if rec.is_enabled() {
+                rec.instant_with(
+                    track,
+                    "shed",
+                    a.arrival_ns,
+                    &[
+                        ("id", ArgVal::U(a.id as u64)),
+                        ("class", ArgVal::S(class.name())),
+                        ("reason", ArgVal::S(reason)),
+                    ],
+                );
+            }
+            rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
+            continue;
         };
         placements.push((a.id, pick));
         if rec.is_enabled() {
@@ -1797,17 +1840,83 @@ pub fn simulate_fleet_faulty(
             );
         }
         let g = &geometries[pick];
+        // Three-way resume pricing: local pin, cross-replica pull, or cold
+        // re-prefill.
+        let mut prefill = pf_ns;
+        let mut pull_field = f64::INFINITY;
+        let mut prefix_hash: Option<u64> = None;
+        if let Some(t) = &turn {
+            if let Some(h) = t.pin_hash {
+                let suffix_frac = (a.context - t.prefix_tokens) as f64 / a.context.max(1) as f64;
+                let suffix_ns = pf_ns * suffix_frac;
+                if replicas[pick].sched.pages_mut().prefix_pin(h).is_some() {
+                    prefill = suffix_ns;
+                    prefix_hash = Some(h);
+                    session_summary.prefix_hits += 1;
+                } else if let Some(o) = owner.filter(|&o| o != pick) {
+                    // Two fabric hops through the pooled tier: source DReX
+                    // -> fabric -> target DReX, priced per page by the same
+                    // CxlLink-derived transfer model as a preemption
+                    // restore.
+                    let pull_ns = owner_pages as f64 * g.restore_ns_per_page * 2.0;
+                    if pull_ns + suffix_ns < pf_ns
+                        && replicas[pick]
+                            .sched
+                            .pages_mut()
+                            .prefix_insert(h, owner_pages)
+                    {
+                        let pinned = replicas[pick].sched.pages_mut().prefix_pin(h);
+                        debug_assert_eq!(pinned, Some(owner_pages));
+                        prefill = suffix_ns + pull_ns;
+                        pull_field = pull_ns;
+                        prefix_hash = Some(h);
+                        session_summary.pulls.push(PullRecord {
+                            id: a.id,
+                            hash: h,
+                            from: o,
+                            to: pick,
+                            pages: owner_pages,
+                            at_ns: a.arrival_ns,
+                        });
+                        if rec.is_enabled() {
+                            rec.leaf_with(
+                                sessions_track,
+                                "prefix.pull",
+                                a.arrival_ns,
+                                a.arrival_ns + pull_ns,
+                                &[
+                                    ("id", ArgVal::U(a.id as u64)),
+                                    ("from", ArgVal::U(o as u64)),
+                                    ("to", ArgVal::U(pick as u64)),
+                                    ("pages", ArgVal::U(owner_pages as u64)),
+                                ],
+                            );
+                        }
+                        rec.timeseries.rate_add("sessions.pull", a.arrival_ns, 1.0);
+                    }
+                }
+            }
+            if follow_up && prefix_hash.is_none() {
+                session_summary.cold_turns += 1;
+            }
+            // This turn's completion publishes the next turn's prefix
+            // wherever the turn completes.
+            replicas[pick]
+                .pending_publish
+                .push((a.id, t.publish_hash, t.publish_tokens));
+            owners.insert(t.publish_hash, pick);
+        }
         let req = SchedRequest {
             id: a.id,
             class,
             arrival_ns: a.arrival_ns,
             context: a.context,
             output: a.output,
-            prefill_ns: pf_ns,
+            prefill_ns: prefill,
             restore_ns: g.restore_ns(a.context),
             recompute_ns: g.recompute_ns(a.context),
-            pull_ns: f64::INFINITY,
-            prefix_hash: None,
+            pull_ns: pull_field,
+            prefix_hash,
         };
         replicas[pick].inject(systems[pick].as_mut(), rec, req);
         if rec.timeseries.is_enabled() {
@@ -1830,6 +1939,7 @@ pub fn simulate_fleet_faulty(
             &mut breakers,
             &mut summary,
             &mut down_since,
+            &mut owners,
             horizon_ns,
             rec,
             track,
@@ -1851,7 +1961,7 @@ pub fn simulate_fleet_faulty(
     let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
     let mut degraded_tokens = 0usize;
     let mut fleet_now = 0.0f64;
-    let mut reports: Vec<SchedReport> = Vec::with_capacity(replicas.len());
+    let mut reports: Vec<SchedReport> = Vec::with_capacity(n);
     let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
     for r in replicas.iter_mut() {
         for &(dt, users) in &r.step_times {
@@ -1916,18 +2026,17 @@ pub fn simulate_fleet_faulty(
         summary.redispatches.len(),
         summary.shed.len(),
     );
-    let mut fleet = if active {
-        FleetReport::assemble_with_faults(
-            router_policy,
-            reports,
-            placements,
-            samples,
-            Some(summary),
-        )
-    } else {
-        FleetReport::assemble(router_policy, reports, placements, samples)
-    };
+    let mut fleet = FleetReport::assemble_with_faults(
+        router_policy,
+        reports,
+        placements,
+        samples,
+        active.then_some(summary),
+    );
     fleet.slo_burn = metrics.slo_burn.clone();
+    if sessions_on {
+        fleet.attach_sessions(session_summary);
+    }
     if rec.is_enabled() {
         rec.counter_add("serving.completed", metrics.completed as u64);
         rec.counter_add("serving.rejected", metrics.rejected as u64);
@@ -1941,306 +2050,6 @@ pub fn simulate_fleet_faulty(
             rec.counter_add("fleet.redispatched", fault_counts.2 as u64);
             rec.counter_add("fleet.shed", fault_counts.3 as u64);
         }
-    }
-    (metrics, fleet)
-}
-
-/// [`simulate_fleet`] under a multi-turn session workload with the
-/// content-keyed cross-replica prefix cache armed.
-///
-/// The offered load comes from the session generator (see
-/// [`crate::session`]) instead of the Poisson process: each session's
-/// turns extend the same growing context, and every completed turn
-/// publishes its KV-prefix under a content hash into its replica's
-/// prefix-cache carve-out. A follow-up turn then resumes one of three
-/// ways, cheapest first:
-///
-/// 1. **Local hit** — the placement replica still caches the prefix: the
-///    turn pins it and pays prefill only for the suffix (the new user
-///    message).
-/// 2. **Pooled-DReX pull** — another replica owns the prefix: the pages
-///    transfer over the CXL fabric at the target geometry's
-///    per-page restore price × 2 (two fabric hops through the pooled
-///    tier — the same [`longsight_cxl::CxlLink`]-derived transfer model,
-///    and the same CRC-replay fault path, as a preemption restore),
-///    charged on top of the suffix prefill and taken only when cheaper
-///    than re-prefilling from scratch. Pulls are traced as `prefix.pull`
-///    spans on the `sessions` track and logged as [`PullRecord`]s.
-/// 3. **Cold re-prefill** — no usable copy (or the pull is dearer): full
-///    prefill, exactly like a fresh request.
-///
-/// Routing honors session affinity when `router_policy` is
-/// [`RouterPolicy::Affinity`]: a resuming turn lands on its owning
-/// replica while that replica is healthy and under the spillover bonus's
-/// occupancy ceiling, and otherwise falls back to cost-aware JSQ with
-/// the owner's free-page key credited by the cached prefix size.
-///
-/// The scheduler releases each turn's pin on completion, failure, or
-/// crash; the fleet audit checks the pull log is conserved against the
-/// replicas' pin counters (pulled = pinned elsewhere). With
-/// [`SessionOptions::disabled`] this delegates to [`simulate_fleet`]
-/// byte-for-byte.
-///
-/// # Panics
-///
-/// Panics when `systems` is empty.
-pub fn simulate_fleet_sessions(
-    systems: &mut [Box<dyn ServingSystem>],
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    router_policy: RouterPolicy,
-    sess: &SessionOptions,
-    rec: &mut Recorder,
-) -> (ServeMetrics, FleetReport) {
-    assert!(!systems.is_empty(), "fleet needs at least one replica");
-    if !sess.is_active() {
-        return simulate_fleet(systems, model, workload, opts, router_policy, rec);
-    }
-    let n = systems.len();
-    let horizon_ns = workload.duration_s * 1e9;
-    let (mut arrivals, mut classes, mut prefill_ns, mut turns) =
-        session::gen_session_turns(model, workload, &opts.mix, sess);
-    let total_arrived = arrivals.len();
-    let router = Router::new(router_policy, workload.seed);
-    let router_track = rec.track("router");
-    let sessions_track = rec.track("sessions");
-
-    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
-    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
-    for (i, sys) in systems.iter_mut().enumerate() {
-        let g = geometry_for(sys.as_ref(), opts);
-        let mut r = ReplicaSim::new(&g, opts, rec, i);
-        r.sched
-            .pages_mut()
-            .set_prefix_capacity(sess.prefix_cache_pages);
-        replicas.push(r);
-        geometries.push(g);
-    }
-
-    // Content hash -> replica whose cache holds (or will hold) the prefix.
-    let mut owners: HashMap<u64, usize> = HashMap::new();
-    let mut placements: Vec<Placement> = Vec::with_capacity(total_arrived);
-    let mut sessions_seen = 0usize;
-    let mut local_hits = 0usize;
-    let mut cold_turns = 0usize;
-    let mut pulls: Vec<PullRecord> = Vec::new();
-    let states = vec![BreakerState::Closed; n];
-
-    while let Some(a) = arrivals.pop() {
-        let pf_ns = prefill_ns.pop().expect("paired with arrivals");
-        let class = classes.pop().expect("paired with arrivals");
-        let turn = turns.pop().expect("paired with arrivals");
-        if turn.turn == 0 {
-            sessions_seen += 1;
-        }
-        for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-            r.advance_to(sys.as_mut(), rec, a.arrival_ns, horizon_ns);
-        }
-        let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
-        // The owning replica only counts while its cache still holds the
-        // prefix (LRU reclaim or a wipe orphans the owner map entry).
-        let mut owner: Option<usize> = None;
-        let mut owner_pages = 0usize;
-        if let Some(h) = turn.pin_hash {
-            if let Some(&o) = owners.get(&h) {
-                if let Some(p) = replicas[o].sched.pages().prefix_lookup(h) {
-                    owner = Some(o);
-                    owner_pages = p;
-                }
-            }
-        }
-        let routed = match router_policy {
-            RouterPolicy::Affinity => {
-                router.route_affine(a.id, class, &loads, &states, owner, owner_pages)
-            }
-            _ => router.route(a.id, class, &loads),
-        };
-        let pick = match routed {
-            Ok(p) => p,
-            // Unreachable over a non-empty healthy fleet; a lost arrival
-            // here would trip the report audit, not vanish silently.
-            Err(_) => continue,
-        };
-        placements.push((a.id, pick));
-        if rec.is_enabled() {
-            rec.instant_with(
-                router_track,
-                "route.place",
-                a.arrival_ns,
-                &[
-                    ("id", ArgVal::U(a.id as u64)),
-                    ("replica", ArgVal::U(pick as u64)),
-                    ("class", ArgVal::S(class.name())),
-                    ("free_hbm", ArgVal::U(loads[pick].free_hbm() as u64)),
-                ],
-            );
-        }
-        let g = &geometries[pick];
-        // Three-way resume pricing: local pin, cross-replica pull, or
-        // cold re-prefill.
-        let mut prefill = pf_ns;
-        let mut pull_field = f64::INFINITY;
-        let mut prefix_hash: Option<u64> = None;
-        if let Some(h) = turn.pin_hash {
-            let suffix_frac = (a.context - turn.prefix_tokens) as f64 / a.context.max(1) as f64;
-            let suffix_ns = pf_ns * suffix_frac;
-            if replicas[pick].sched.pages_mut().prefix_pin(h).is_some() {
-                prefill = suffix_ns;
-                prefix_hash = Some(h);
-                local_hits += 1;
-            } else if let Some(o) = owner.filter(|&o| o != pick) {
-                // Two fabric hops through the pooled tier: source DReX ->
-                // fabric -> target DReX, priced per page by the same
-                // CxlLink-derived transfer model as a preemption restore.
-                let pull_ns = owner_pages as f64 * g.restore_ns_per_page * 2.0;
-                if pull_ns + suffix_ns < pf_ns
-                    && replicas[pick]
-                        .sched
-                        .pages_mut()
-                        .prefix_insert(h, owner_pages)
-                {
-                    let pinned = replicas[pick].sched.pages_mut().prefix_pin(h);
-                    debug_assert_eq!(pinned, Some(owner_pages));
-                    prefill = suffix_ns + pull_ns;
-                    pull_field = pull_ns;
-                    prefix_hash = Some(h);
-                    pulls.push(PullRecord {
-                        id: a.id,
-                        hash: h,
-                        from: o,
-                        to: pick,
-                        pages: owner_pages,
-                        at_ns: a.arrival_ns,
-                    });
-                    if rec.is_enabled() {
-                        rec.leaf_with(
-                            sessions_track,
-                            "prefix.pull",
-                            a.arrival_ns,
-                            a.arrival_ns + pull_ns,
-                            &[
-                                ("id", ArgVal::U(a.id as u64)),
-                                ("from", ArgVal::U(o as u64)),
-                                ("to", ArgVal::U(pick as u64)),
-                                ("pages", ArgVal::U(owner_pages as u64)),
-                            ],
-                        );
-                    }
-                    rec.timeseries.rate_add("sessions.pull", a.arrival_ns, 1.0);
-                }
-            }
-        }
-        if turn.turn > 0 && prefix_hash.is_none() {
-            cold_turns += 1;
-        }
-        // This turn's completion publishes the next turn's prefix here.
-        let publish_pages = turn.publish_tokens.div_ceil(g.page_tokens.max(1));
-        replicas[pick]
-            .pending_publish
-            .push((a.id, turn.publish_hash, publish_pages));
-        owners.insert(turn.publish_hash, pick);
-        let req = SchedRequest {
-            id: a.id,
-            class,
-            arrival_ns: a.arrival_ns,
-            context: a.context,
-            output: a.output,
-            prefill_ns: prefill,
-            restore_ns: g.restore_ns(a.context),
-            recompute_ns: g.recompute_ns(a.context),
-            pull_ns: pull_field,
-            prefix_hash,
-        };
-        replicas[pick].inject(systems[pick].as_mut(), rec, req);
-        if rec.timeseries.is_enabled() {
-            rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            let prefix = replicas[pick].ts_prefix.clone();
-            sample_sched_timeseries(rec, &prefix, a.arrival_ns, &replicas[pick].sched);
-        }
-    }
-    for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-        r.drain_all(sys.as_mut(), rec, horizon_ns);
-    }
-
-    // Fleet-wide aggregates, exactly as in the fault driver's fault-free
-    // shape: merged samples, summed counters, the span of the slowest
-    // replica.
-    let mut token_lat: Vec<f64> = Vec::new();
-    let mut request_latencies: Vec<f64> = Vec::new();
-    let mut generated_tokens = 0usize;
-    let mut batch_users = 0usize;
-    let mut batch_steps = 0usize;
-    let mut rejected = 0usize;
-    let mut waiting = 0usize;
-    let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
-    let mut fleet_now = 0.0f64;
-    let mut reports: Vec<SchedReport> = Vec::with_capacity(replicas.len());
-    let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
-    for r in replicas.iter_mut() {
-        for &(dt, users) in &r.step_times {
-            for _ in 0..users.min(64) {
-                token_lat.push(dt / 1e6);
-            }
-            batch_users += users;
-            batch_steps += 1;
-        }
-        request_latencies.extend_from_slice(&r.request_latencies);
-        generated_tokens += r.generated_tokens;
-        rejected += r.sched.rejected();
-        waiting += r.sched.waiting_len();
-        spec_hits += r.spec_counts.0;
-        spec_misses += r.spec_counts.1;
-        spec_denied += r.spec_counts.2;
-        fleet_now = fleet_now.max(r.now);
-        reports.push(r.sched.finalize());
-        for (i, (tok, req)) in r.sched.class_samples().iter().enumerate() {
-            samples[i].0.extend_from_slice(tok);
-            samples[i].1.extend_from_slice(req);
-        }
-    }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
-    let span_s = fleet_now.max(1.0) / 1e9;
-    let metrics = ServeMetrics {
-        completed: request_latencies.len(),
-        rejected,
-        in_flight: total_arrived - request_latencies.len() - rejected - waiting,
-        throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
-        mean_batch: if batch_steps == 0 {
-            0.0
-        } else {
-            batch_users as f64 / batch_steps as f64
-        },
-        retried_tokens: 0,
-        degraded_tokens: 0,
-        failed_requests: 0,
-        degraded_quality_delta: 0.0,
-        spec_hits,
-        spec_misses,
-        spec_denied,
-        slo_burn: finalize_slo_burn(rec),
-    };
-    let mut fleet = FleetReport::assemble(router_policy, reports, placements, samples);
-    fleet.slo_burn = metrics.slo_burn.clone();
-    fleet.attach_sessions(SessionSummary {
-        sessions: sessions_seen,
-        turns: total_arrived,
-        prefix_hits: local_hits,
-        cold_turns,
-        pulls,
-    });
-    if rec.is_enabled() {
-        rec.counter_add("serving.completed", metrics.completed as u64);
-        rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", generated_tokens as u64);
-        rec.counter_add("router.placements", fleet.placements.len() as u64);
-        rec.gauge_set("serving.throughput_tps", metrics.throughput_tps);
-        rec.gauge_set("serving.mean_batch", metrics.mean_batch);
         if let Some(s) = &fleet.sessions {
             rec.counter_add("sessions.turns", s.turns as u64);
             rec.counter_add("sessions.prefix_hits", s.prefix_hits as u64);
@@ -2260,9 +2069,11 @@ pub fn simulate_fleet_sessions(
 /// queues behind the target geometry's rebuild charge (full prefill when
 /// caught mid-prefill, restore-vs-recompute otherwise). When every other
 /// replica is also down the evacuee parks on the crashed replica and
-/// resumes after repair — redispatch never loses a request. `Up` restores
-/// the replica (and moves a held-open breaker to half-open); brownout
-/// events toggle the replica's offload-budget factor.
+/// resumes after repair — redispatch never loses a request. A session
+/// turn's pending prefix publication moves with it, and `owners` repoints
+/// the published hash at the target. `Up` restores the replica (and moves
+/// a held-open breaker to half-open); brownout events toggle the
+/// replica's offload-budget factor.
 #[allow(clippy::too_many_arguments)]
 fn apply_fleet_event(
     e: ReplicaEvent,
@@ -2274,6 +2085,7 @@ fn apply_fleet_event(
     breakers: &mut Option<Vec<CircuitBreaker>>,
     summary: &mut FleetFaultSummary,
     down_since: &mut [f64],
+    owners: &mut HashMap<u64, usize>,
     horizon_ns: f64,
     rec: &mut Recorder,
     track: TrackId,
@@ -2348,6 +2160,12 @@ fn apply_fleet_event(
                         Ok(t) => (t, "replica-crash"),
                         Err(_) => (r, "no-healthy-replica"),
                     };
+                let pending = &mut replicas[r].pending_publish;
+                if let Some(pos) = pending.iter().position(|p| p.0 == ev.req.id) {
+                    let publish = pending.swap_remove(pos);
+                    owners.insert(publish.1, to);
+                    replicas[to].pending_publish.push(publish);
+                }
                 let mut moved = ev;
                 moved.req.restore_ns = geometries[to].restore_ns(moved.req.context);
                 moved.req.recompute_ns = geometries[to].recompute_ns(moved.req.context);
@@ -2441,36 +2259,33 @@ fn apply_fleet_event(
 }
 
 /// Feeds each breaker the completions and degraded tokens its replica
-/// produced since the last arrival, then ticks the cooldown — the breaker
+/// buffered since the last arrival, then ticks the cooldown — the breaker
 /// observes exactly what a real front-end can observe, never the fault
-/// schedule itself. Transitions land on the fault track.
+/// schedule itself. Draining empties each replica's buffer. Transitions
+/// land on the fault track.
 fn feed_breakers(
-    replicas: &[ReplicaSim],
+    replicas: &mut [ReplicaSim],
     breakers: &mut [CircuitBreaker],
-    fed_completions: &mut [usize],
-    fed_degraded: &mut [u64],
     now_ns: f64,
     rec: &mut Recorder,
     track: TrackId,
 ) {
-    for (i, r) in replicas.iter().enumerate() {
+    for (i, (r, b)) in replicas.iter_mut().zip(breakers.iter_mut()).enumerate() {
         let mut transitions: Vec<BreakerState> = Vec::new();
-        while fed_completions[i] < r.completions.len() {
-            let (class, lat) = r.completions[fed_completions[i]];
-            fed_completions[i] += 1;
-            if let Some(s) = breakers[i].note_completion(class, lat, now_ns) {
-                transitions.push(s);
+        if let Some(feed) = r.breaker_feed.as_mut() {
+            for (class, lat) in feed.completions.drain(..) {
+                if let Some(s) = b.note_completion(class, lat, now_ns) {
+                    transitions.push(s);
+                }
+            }
+            let degraded = std::mem::take(&mut feed.degraded_tokens);
+            if degraded > 0 {
+                if let Some(s) = b.note_degraded(degraded, now_ns) {
+                    transitions.push(s);
+                }
             }
         }
-        let total = r.degraded_tokens as u64;
-        if total > fed_degraded[i] {
-            let delta = total - fed_degraded[i];
-            fed_degraded[i] = total;
-            if let Some(s) = breakers[i].note_degraded(delta, now_ns) {
-                transitions.push(s);
-            }
-        }
-        if let Some(s) = breakers[i].poll(now_ns) {
+        if let Some(s) = b.poll(now_ns) {
             transitions.push(s);
         }
         if rec.is_enabled() {
@@ -2502,6 +2317,26 @@ mod tests {
             seed,
         };
         simulate(&mut sys, &model, &wl)
+    }
+
+    /// A FIFO run under token-level fault injection.
+    fn run_faulted(
+        sys: &mut dyn ServingSystem,
+        model: &ModelConfig,
+        wl: &WorkloadConfig,
+        inj: &FaultInjector,
+        retry: &RetryPolicy,
+    ) -> (ServeMetrics, FaultLog) {
+        let (m, _, log) = simulate_scheduled(
+            sys,
+            model,
+            wl,
+            &SchedOptions::fifo(),
+            Some((inj, retry)),
+            &mut Recorder::disabled(),
+            None,
+        );
+        (m, log)
     }
 
     #[test]
@@ -2546,7 +2381,7 @@ mod tests {
             seed: 3,
         };
         let plain = simulate(&mut sys, &model, &wl);
-        let (faulted, log) = simulate_with_faults(
+        let (faulted, log) = run_faulted(
             &mut sys,
             &model,
             &wl,
@@ -2580,7 +2415,7 @@ mod tests {
             7,
         );
         let retry = RetryPolicy::serving_default();
-        let (m, log) = simulate_with_faults(&mut sys, &model, &wl, &inj, &retry);
+        let (m, log) = run_faulted(&mut sys, &model, &wl, &inj, &retry);
         assert!(
             m.retried_tokens > 0,
             "30% timeouts must force retries: {m:?}"
@@ -2599,7 +2434,7 @@ mod tests {
         );
         assert!(m.throughput_tps <= plain.throughput_tps);
         // Determinism: same seed, same timeline.
-        let (m2, log2) = simulate_with_faults(&mut sys, &model, &wl, &inj, &retry);
+        let (m2, log2) = run_faulted(&mut sys, &model, &wl, &inj, &retry);
         assert_eq!(m, m2);
         assert_eq!(log.to_text(), log2.to_text());
     }
@@ -2623,8 +2458,7 @@ mod tests {
             },
             13,
         );
-        let (m, _) =
-            simulate_with_faults(&mut sys, &model, &wl, &inj, &RetryPolicy::serving_default());
+        let (m, _) = run_faulted(&mut sys, &model, &wl, &inj, &RetryPolicy::serving_default());
         assert!(m.failed_requests > 0, "2% per-token hard faults: {m:?}");
         let plain = simulate(&mut sys, &model, &wl);
         assert!(m.completed < plain.completed + m.failed_requests + 1);
@@ -2744,17 +2578,10 @@ mod tests {
 
     #[test]
     fn sessions_off_is_byte_identical_to_plain_fleet() {
+        // Only `sessions` arms the workload: a zero-session option set with
+        // every other knob non-default must not change a byte, trace
+        // included (no `sessions` track, no prefix-cache carve-out).
         let model = ModelConfig::llama3_1b();
-        let make = || -> Vec<Box<dyn ServingSystem>> {
-            (0..2)
-                .map(|_| {
-                    Box::new(LongSightSystem::new(
-                        LongSightConfig::paper_default(),
-                        model.clone(),
-                    )) as Box<dyn ServingSystem>
-                })
-                .collect()
-        };
         let wl = WorkloadConfig {
             arrivals_per_s: 2.0,
             context_tokens: (32_768, 65_536),
@@ -2763,25 +2590,103 @@ mod tests {
             seed: 3,
         };
         let opts = SchedOptions::slo_aware(SloMix::all_interactive());
-        let (m1, f1) = simulate_fleet(
-            &mut make(),
-            &model,
-            &wl,
-            &opts,
-            RouterPolicy::JsqSpillover,
-            &mut Recorder::disabled(),
-        );
-        let (m2, f2) = simulate_fleet_sessions(
-            &mut make(),
-            &model,
-            &wl,
-            &opts,
-            RouterPolicy::JsqSpillover,
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        );
+        let run = |sess: &SessionOptions| {
+            let mut systems: Vec<Box<dyn ServingSystem>> = (0..2)
+                .map(|_| {
+                    Box::new(LongSightSystem::new(
+                        LongSightConfig::paper_default(),
+                        model.clone(),
+                    )) as Box<dyn ServingSystem>
+                })
+                .collect();
+            let mut rec = Recorder::enabled();
+            let (m, f) = simulate_fleet_with(
+                &mut systems,
+                &model,
+                &wl,
+                &opts,
+                RouterPolicy::JsqSpillover,
+                &FleetFaultOptions::disabled(),
+                sess,
+                &mut rec,
+            );
+            (m, f, rec.chrome_trace_json())
+        };
+        let (m1, f1, t1) = run(&SessionOptions::disabled());
+        let (m2, f2, t2) = run(&SessionOptions {
+            sessions: 0,
+            turns: 3,
+            think_time_ms: 1500.0,
+            reuse: 0.9,
+            prefix_cache_pages: 4096,
+        });
         assert_eq!(m1, m2);
-        assert_eq!(f1.placement_log(), f2.placement_log());
+        assert_eq!(f1, f2);
+        assert!(f2.sessions.is_none());
         assert_eq!(f1.to_text(), f2.to_text());
+        assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn crash_moves_a_pending_publication_to_the_redispatch_target() {
+        // One two-turn session on seed 1; fault seed 8 crashes the replica
+        // serving the opening turn mid-flight. The turn is redispatched,
+        // completes on the target and publishes its prefix there, so the
+        // follow-up routes to the target and resumes from its cache.
+        let model = ModelConfig::llama3_1b();
+        let mut systems: Vec<Box<dyn ServingSystem>> = (0..2)
+            .map(|_| {
+                Box::new(LongSightSystem::new(
+                    LongSightConfig::paper_default(),
+                    model.clone(),
+                )) as Box<dyn ServingSystem>
+            })
+            .collect();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 2.0,
+            context_tokens: (32_768, 65_536),
+            output_tokens: (16, 64),
+            duration_s: 8.0,
+            seed: 1,
+        };
+        let sess = SessionOptions {
+            sessions: 1,
+            turns: 2,
+            think_time_ms: 4000.0,
+            reuse: 1.0,
+            prefix_cache_pages: 4096,
+        };
+        let fopts = FleetFaultOptions {
+            profile: ReplicaFaultProfile::scaled(0.3),
+            fault_seed: 8,
+            breaker: None,
+            shed_queue_cap: None,
+        };
+        let (_, rep) = simulate_fleet_with(
+            &mut systems,
+            &model,
+            &wl,
+            &SchedOptions::slo_aware(SloMix::all_interactive()),
+            RouterPolicy::Affinity,
+            &fopts,
+            &sess,
+            &mut Recorder::disabled(),
+        );
+        assert_eq!(rep.audit_violation, None);
+        let faults = rep.faults.as_ref().expect("fault summary attached");
+        let moved = faults
+            .redispatches
+            .iter()
+            .find(|r| r.id == 0)
+            .expect("the crash evacuates the opening turn");
+        assert_eq!(moved.reason, "replica-crash");
+        assert_eq!(rep.placements[0], (0, moved.from));
+        assert_eq!(
+            rep.placements[1],
+            (1, moved.to),
+            "the follow-up routes to the replica the publication moved to"
+        );
+        let s = rep.sessions.as_ref().expect("session summary attached");
+        assert_eq!((s.prefix_hits, s.pulls.len(), s.cold_turns), (1, 0, 0));
     }
 }

@@ -8,7 +8,8 @@
 //! `longsight-sched` deduplicates: a follow-up that resumes on a replica
 //! still holding the prefix pays prefill only for the suffix, and one that
 //! resumes elsewhere can pull the pages over the pooled-DReX fabric
-//! instead of recomputing (see `simulate_fleet_sessions`).
+//! instead of recomputing (see `simulate_fleet_with`, where the session
+//! workload composes with the fleet fault domains).
 //!
 //! Determinism follows the same stream discipline as the Poisson
 //! generator: every session owns a private RNG stream keyed off
@@ -39,9 +40,10 @@ const REUSE_SEED: u64 = 0x7265_7573; // "reus"
 /// Stream key of the prefix-hash chain.
 const PREFIX_SEED: u64 = 0x7066_6978; // "pfix"
 
-/// Session workload knobs for `simulate_fleet_sessions`. The
-/// [`SessionOptions::disabled`] value makes that entry point delegate to
-/// the plain fleet driver, byte-identical to a sessionless run.
+/// Session workload knobs for `simulate_fleet_with`, independent of its
+/// fleet fault options. The [`SessionOptions::disabled`] value arms
+/// nothing: the offered load is the Poisson stream, no prefix cache is
+/// carved out, and the report carries no session summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptions {
     /// Concurrent sessions (0 disables the session workload).
@@ -61,8 +63,8 @@ pub struct SessionOptions {
 }
 
 impl SessionOptions {
-    /// No session workload: `simulate_fleet_sessions` runs the plain
-    /// fleet driver byte-for-byte.
+    /// No session workload: the fleet driver serves the Poisson stream,
+    /// byte-identical to a run that never mentions sessions.
     pub fn disabled() -> Self {
         Self {
             sessions: 0,

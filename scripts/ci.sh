@@ -19,8 +19,10 @@
 #      with --timeseries-out validated by `perf-diff --self-check`
 #   9. lookahead smoke: speculative loadtest with a traced run, validated
 #      the same way
-#  10. session smoke: 2-replica session workload under affinity routing
-#      with a traced run, validated the same way
+#  10. session smokes: 2-replica session workload under affinity routing
+#      with a traced run, validated the same way, then the same workload
+#      under the crash profile with the breaker on, --trace-out validated
+#      by `trace-validate` and --timeseries-out by `perf-diff --self-check`
 #  11. perf trajectory gate: `perf-diff --gate results/trajectory.tsv`
 #      re-reads the checked-in goldens and fails on a >10% interactive-p99
 #      regression against the pinned values
@@ -153,6 +155,17 @@ target/release/longsight loadtest --model 1b --duration 8 \
     --sessions 4 --turns 3 --think-time-ms 1500 --reuse 0.9 \
     --trace-out "$obs_tmp/session_trace.json"
 target/release/longsight trace-validate --file "$obs_tmp/session_trace.json"
+
+echo "== session smoke under replica crashes (crash profile + breaker, trace + timeseries) =="
+target/release/longsight loadtest --model 1b --duration 8 \
+    --ctx-min 16384 --ctx-max 32768 --out-min 16 --out-max 64 \
+    --replicas 2 --router affinity \
+    --sessions 4 --turns 3 --think-time-ms 1500 --reuse 0.9 \
+    --crash-profile 0.1 --crash-seed 11 --breaker on \
+    --trace-out "$obs_tmp/session_faults_trace.json" \
+    --timeseries-out "$obs_tmp/session_faults_ts.tsv"
+target/release/longsight trace-validate --file "$obs_tmp/session_faults_trace.json"
+target/release/longsight perf-diff --self-check "$obs_tmp/session_faults_ts.tsv"
 
 # Interactive tail-latency trajectory: the checked-in goldens must not
 # regress the interactive p99 request latency more than 10% past the values

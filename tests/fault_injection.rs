@@ -14,9 +14,7 @@
 use longsight::faults::{FaultInjector, FaultKind, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
-use longsight::system::serving::{
-    simulate, simulate_observed, simulate_with_faults, WorkloadConfig,
-};
+use longsight::system::serving::{simulate, simulate_scheduled, SchedOptions, WorkloadConfig};
 use longsight::system::slo::max_users_under_slo;
 use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
@@ -41,15 +39,17 @@ fn disabled_faults_reproduce_the_fault_free_stack() {
     let b = gated.evaluate(8, 131_072).unwrap();
     assert_eq!(a, b, "disabled fault profile changed the step report");
 
-    // Serving path: simulate_with_faults(disabled) == simulate, empty log.
+    // Serving path: a disabled injector == simulate, empty log.
     let workload = short_workload();
     let baseline = simulate(&mut plain, &model, &workload);
-    let (faulted, log) = simulate_with_faults(
+    let (faulted, _, log) = simulate_scheduled(
         &mut gated,
         &model,
         &workload,
-        &FaultInjector::disabled(),
-        &RetryPolicy::serving_default(),
+        &SchedOptions::fifo(),
+        Some((&FaultInjector::disabled(), &RetryPolicy::serving_default())),
+        &mut Recorder::disabled(),
+        None,
     );
     assert_eq!(baseline, faulted);
     assert!(log.is_empty());
@@ -88,7 +88,15 @@ fn degraded_tokens_match_logged_degradation_events() {
     let retry = RetryPolicy::serving_default();
     let inj = FaultInjector::new(profile, 7);
     let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (metrics, log) = simulate_with_faults(&mut sys, &model, &short_workload(), &inj, &retry);
+    let (metrics, _, log) = simulate_scheduled(
+        &mut sys,
+        &model,
+        &short_workload(),
+        &SchedOptions::fifo(),
+        Some((&inj, &retry)),
+        &mut Recorder::disabled(),
+        None,
+    );
 
     let degraded_events = log.count_matching(|k| matches!(k, FaultKind::Degraded));
     let timeouts = log.count_matching(|k| matches!(k, FaultKind::Timeout { .. }));
@@ -114,13 +122,16 @@ fn faulted_runs_are_reproducible_under_a_seed() {
     let run = |seed: u64| {
         let inj = FaultInjector::new(FaultProfile::severe(), seed);
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        simulate_with_faults(
+        let (m, _, log) = simulate_scheduled(
             &mut sys,
             &model,
             &short_workload(),
-            &inj,
-            &RetryPolicy::serving_default(),
-        )
+            &SchedOptions::fifo(),
+            Some((&inj, &RetryPolicy::serving_default())),
+            &mut Recorder::disabled(),
+            None,
+        );
+        (m, log)
     };
     let (m1, l1) = run(11);
     let (m2, l2) = run(11);
@@ -155,7 +166,16 @@ fn injected_faults_void_in_flight_slots_without_double_retry() {
         }
         let mut sys = LongSightSystem::new(cfg, model.clone());
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        simulate_with_faults(&mut sys, &model, &workload, &inj, &retry)
+        let (m, _, log) = simulate_scheduled(
+            &mut sys,
+            &model,
+            &workload,
+            &SchedOptions::fifo(),
+            Some((&inj, &retry)),
+            &mut Recorder::disabled(),
+            None,
+        );
+        (m, log)
     };
     let (off_m, off_log) = run(None);
     let (on_m, on_log) = run(Some(void_only_lookahead()));
@@ -193,7 +213,15 @@ fn rate_zero_lookahead_is_byte_identical_across_reruns() {
             LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default());
         let mut sys = LongSightSystem::new(cfg, model.clone());
         let mut rec = Recorder::enabled();
-        let (m, log) = simulate_observed(&mut sys, &model, &workload, None, &mut rec, None);
+        let (m, _, log) = simulate_scheduled(
+            &mut sys,
+            &model,
+            &workload,
+            &SchedOptions::fifo(),
+            None,
+            &mut rec,
+            None,
+        );
         (
             m,
             log.to_text(),
@@ -215,10 +243,11 @@ fn fault_log_and_instants_agree_with_speculation_on() {
     let mut rec = Recorder::enabled();
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
-    let (m, log) = simulate_observed(
+    let (m, _, log) = simulate_scheduled(
         &mut sys,
         &model,
         &short_workload(),
+        &SchedOptions::fifo(),
         Some((&inj, &retry)),
         &mut rec,
         None,

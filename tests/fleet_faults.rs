@@ -1,12 +1,12 @@
 //! Fleet failure-domain contract — crash/recovery, failover, and the
 //! fault-aware report, pinned end to end.
 //!
-//! Four promises:
+//! Five promises:
 //!
-//! 1. **Disabled equivalence.** `simulate_fleet_faulty` with every fault
+//! 1. **Disabled equivalence.** `simulate_fleet_with` with every fault
 //!    option off is bit-identical to `simulate_fleet`: same metrics, same
-//!    report text, `faults: None`. The failure-domain machinery costs
-//!    nothing when unused.
+//!    report text, same trace, `faults: None`. The failure-domain
+//!    machinery costs nothing when unused.
 //! 2. **Deterministic crash timeline.** With a crash profile on, the
 //!    replica events the driver applies are exactly `fleet_schedule` of
 //!    `(profile, fault_seed, replicas)` — crash count and downtime in the
@@ -17,6 +17,8 @@
 //! 4. **Conservation under faults.** The audit passes: offered equals
 //!    placed plus shed, redispatches reference previously placed
 //!    requests, and nothing is lost across a crash.
+//! 5. **Composition.** A session workload runs under the same crash
+//!    profile, breaker and shed cap with both audits clean.
 
 use longsight::exec;
 use longsight::faults::{fleet_schedule, timeline_text, ReplicaEventKind, ReplicaFaultProfile};
@@ -27,9 +29,9 @@ use longsight::sched::{
     SloClass, SloMix,
 };
 use longsight::system::serving::{
-    simulate_fleet, simulate_fleet_faulty, FleetFaultOptions, SchedOptions, WorkloadConfig,
+    simulate_fleet, simulate_fleet_with, FleetFaultOptions, SchedOptions, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 use std::sync::Mutex;
 
 /// The worker-count override is process-global, so tests that sweep it must
@@ -104,32 +106,38 @@ fn crashy() -> FleetFaultOptions {
 
 #[test]
 fn disabled_fault_options_are_bit_identical_to_simulate_fleet() {
+    // Only a crash/brownout rate, a breaker or a shed cap arms the fault
+    // domain: a seed and brownout shape without rates must not change a
+    // byte of the single driver's output, trace included.
     let model = ModelConfig::llama3_1b();
-    let run_plain = || {
+    let run = |fopts: &FleetFaultOptions| {
         let mut fleet = fleet_of(2);
-        simulate_fleet(
+        let mut rec = Recorder::enabled();
+        let (m, rep) = simulate_fleet_with(
             &mut fleet,
             &model,
             &workload(),
             &opts(),
             RouterPolicy::JsqSpillover,
-            &mut Recorder::disabled(),
-        )
+            fopts,
+            &SessionOptions::disabled(),
+            &mut rec,
+        );
+        (m, rep, rec.chrome_trace_json())
     };
-    let run_faulty = || {
-        let mut fleet = fleet_of(2);
-        simulate_fleet_faulty(
-            &mut fleet,
-            &model,
-            &workload(),
-            &opts(),
-            RouterPolicy::JsqSpillover,
-            &FleetFaultOptions::disabled(),
-            &mut Recorder::disabled(),
-        )
+    let disarmed = FleetFaultOptions {
+        profile: ReplicaFaultProfile {
+            crash_rate: 0.0,
+            brownout_rate: 0.0,
+            ..ReplicaFaultProfile::scaled(0.1)
+        },
+        fault_seed: 11,
+        breaker: None,
+        shed_queue_cap: None,
     };
-    let (m0, rep0) = run_plain();
-    let (m1, rep1) = run_faulty();
+    assert!(!disarmed.is_active());
+    let (m0, rep0, trace0) = run(&FleetFaultOptions::disabled());
+    let (m1, rep1, trace1) = run(&disarmed);
     assert_eq!(m0, m1, "disabled fault options must not perturb metrics");
     assert_eq!(
         rep0, rep1,
@@ -140,6 +148,20 @@ fn disabled_fault_options_are_bit_identical_to_simulate_fleet() {
         "no fault summary when faults are off"
     );
     assert_eq!(rep0.to_text(), rep1.to_text());
+    assert_eq!(
+        trace0, trace1,
+        "disabled fault options must not touch the trace"
+    );
+    // `simulate_fleet` is the same driver with both option sets disabled.
+    let (m2, rep2) = simulate_fleet(
+        &mut fleet_of(2),
+        &model,
+        &workload(),
+        &opts(),
+        RouterPolicy::JsqSpillover,
+        &mut Recorder::disabled(),
+    );
+    assert_eq!((m0, rep0), (m2, rep2));
 }
 
 #[test]
@@ -148,13 +170,14 @@ fn crash_timeline_matches_the_pure_schedule() {
     let wl = workload();
     let model = ModelConfig::llama3_1b();
     let mut fleet = fleet_of(2);
-    let (_, rep) = simulate_fleet_faulty(
+    let (_, rep) = simulate_fleet_with(
         &mut fleet,
         &model,
         &wl,
         &opts(),
         RouterPolicy::JsqSpillover,
         &fopts,
+        &SessionOptions::disabled(),
         &mut Recorder::disabled(),
     );
     let faults = rep
@@ -210,13 +233,14 @@ fn faulty_fleet_is_byte_identical_at_any_thread_count() {
     let runs = across_thread_counts(|| {
         let model = ModelConfig::llama3_1b();
         let mut fleet = fleet_of(2);
-        let (m, rep) = simulate_fleet_faulty(
+        let (m, rep) = simulate_fleet_with(
             &mut fleet,
             &model,
             &workload(),
             &opts(),
             RouterPolicy::JsqSpillover,
             &crashy(),
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         );
         (m.to_text(), rep.to_text(), rep)
@@ -240,13 +264,14 @@ fn faulty_fleet_is_byte_identical_at_any_thread_count() {
 fn crashes_conserve_requests_and_redispatch_placed_work() {
     let model = ModelConfig::llama3_1b();
     let mut fleet = fleet_of(2);
-    let (m, rep) = simulate_fleet_faulty(
+    let (m, rep) = simulate_fleet_with(
         &mut fleet,
         &model,
         &workload(),
         &opts(),
         RouterPolicy::JsqSpillover,
         &crashy(),
+        &SessionOptions::disabled(),
         &mut Recorder::disabled(),
     );
     assert_eq!(rep.audit_violation, None);
@@ -294,13 +319,14 @@ fn breaker_mode_diverges_from_naive_routing_under_a_crash() {
             breaker,
             ..crashy()
         };
-        let (_, rep) = simulate_fleet_faulty(
+        let (_, rep) = simulate_fleet_with(
             &mut fleet,
             &model,
             &workload(),
             &opts(),
             RouterPolicy::JsqSpillover,
             &fopts,
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         );
         assert_eq!(rep.audit_violation, None);
@@ -338,13 +364,14 @@ fn fault_summary_and_timeline_render_the_pinned_golden_text() {
 
     let model = ModelConfig::llama3_1b();
     let mut fleet = fleet_of(2);
-    let (_, rep) = simulate_fleet_faulty(
+    let (_, rep) = simulate_fleet_with(
         &mut fleet,
         &model,
         &workload(),
         &opts(),
         RouterPolicy::JsqSpillover,
         &crashy(),
+        &SessionOptions::disabled(),
         &mut Recorder::disabled(),
     );
     let text = rep.to_text();
@@ -356,6 +383,67 @@ fn fault_summary_and_timeline_render_the_pinned_golden_text() {
         text.contains(fault_block),
         "fault block drifted from the pinned golden:\n{text}"
     );
+}
+
+/// Sessions and fleet fault domains compose in one loop: a session run
+/// under the seed-11 crash profile with the breaker and a shed cap, routed
+/// by session affinity. Both audits stay clean — every offered turn is
+/// placed once or shed, and every follow-up is a hit, a pull, cold, or
+/// shed — and the run is byte-identical at 1, 4 and hardware threads.
+#[test]
+fn sessions_compose_with_crashes_breaker_and_shedding() {
+    // Enough sessions that the crash catches turns in flight and the cap
+    // sheds follow-ups.
+    let sess = SessionOptions {
+        sessions: 24,
+        turns: 3,
+        think_time_ms: 1500.0,
+        reuse: 0.9,
+        prefix_cache_pages: 4096,
+    };
+    let fopts = FleetFaultOptions {
+        shed_queue_cap: Some(1),
+        ..crashy()
+    };
+    let runs = across_thread_counts(|| {
+        let model = ModelConfig::llama3_1b();
+        let mut fleet = fleet_of(2);
+        let (m, rep) = simulate_fleet_with(
+            &mut fleet,
+            &model,
+            &workload(),
+            &opts(),
+            RouterPolicy::Affinity,
+            &fopts,
+            &sess,
+            &mut Recorder::disabled(),
+        );
+        (m.to_json(), rep.to_text(), rep.placement_log(), rep)
+    });
+    for (t, (_, _, _, rep)) in &runs {
+        assert_eq!(rep.audit_violation, None, "audit failed at {t} threads");
+    }
+    let (_, (m0, text0, log0, rep0)) = &runs[0];
+    let faults = rep0.faults.as_ref().expect("fault summary attached");
+    let s = rep0.sessions.as_ref().expect("session summary attached");
+    assert!(faults.crashes > 0, "the crash profile must crash something");
+    assert!(
+        !faults.redispatches.is_empty(),
+        "the crash must catch turns in flight"
+    );
+    assert!(s.shed_turns > 0, "the shed cap must shed follow-up turns");
+    assert_eq!(faults.offered, s.turns);
+    assert_eq!(faults.offered, rep0.placements.len() + faults.shed.len());
+    assert_eq!(
+        s.prefix_hits + s.pulls.len() + s.cold_turns + s.shed_turns,
+        s.turns - s.sessions,
+        "every follow-up turn is accounted for exactly once"
+    );
+    for (t, (m, text, log, _)) in &runs[1..] {
+        assert_eq!(m, m0, "metrics JSON diverged at {t} threads");
+        assert_eq!(text, text0, "report text diverged at {t} threads");
+        assert_eq!(log, log0, "placements diverged at {t} threads");
+    }
 }
 
 /// The burn summary's two-line report block, pinned for both the alerting

@@ -15,7 +15,7 @@ use longsight::model::ModelConfig;
 use longsight::obs::{json, Recorder};
 use longsight::system::attribution::OVERLAP_HIDDEN;
 use longsight::system::serving::{
-    simulate, simulate_observed, simulate_with_faults, ServeMetrics, WorkloadConfig,
+    simulate, simulate_scheduled, SchedOptions, ServeMetrics, WorkloadConfig,
 };
 use longsight::system::{
     LongSightConfig, LongSightSystem, LookaheadConfig, SpecCharge, TokenAttribution,
@@ -67,10 +67,11 @@ fn observed_run(rate: f64) -> (ServeMetrics, FaultLog, Recorder, TokenAttributio
     let inj = FaultInjector::new(FaultProfile::scaled(rate), 11);
     let retry = RetryPolicy::serving_default();
     let faults = (rate > 0.0).then_some((&inj, &retry));
-    let (metrics, log) = simulate_observed(
+    let (metrics, _, log) = simulate_scheduled(
         &mut sys,
         &model,
         &workload(),
+        &SchedOptions::fifo(),
         faults,
         &mut rec,
         Some(&mut attr),
@@ -121,21 +122,38 @@ fn disabled_recorder_is_invisible() {
     let plain = simulate(&mut plain_sys, &model, &wl);
     let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
     let mut rec = Recorder::disabled();
-    let (observed, _) = simulate_observed(&mut obs_sys, &model, &wl, None, &mut rec, None);
-    assert_eq!(plain, observed, "disabled recorder changed the simulation");
-    assert!(rec.spans().is_empty() && rec.instants().is_empty());
-
-    // Faulted: same identity against `simulate_with_faults`.
-    let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-    let retry = RetryPolicy::serving_default();
-    let mut plain_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (plain_m, plain_log) = simulate_with_faults(&mut plain_sys, &model, &wl, &inj, &retry);
-    let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let mut rec = Recorder::disabled();
-    let (obs_m, obs_log) = simulate_observed(
+    let (observed, _, _) = simulate_scheduled(
         &mut obs_sys,
         &model,
         &wl,
+        &SchedOptions::fifo(),
+        None,
+        &mut rec,
+        None,
+    );
+    assert_eq!(plain, observed, "disabled recorder changed the simulation");
+    assert!(rec.spans().is_empty() && rec.instants().is_empty());
+
+    // Faulted: the same identity against an unobserved faulted run.
+    let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
+    let retry = RetryPolicy::serving_default();
+    let mut plain_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+    let (plain_m, _, plain_log) = simulate_scheduled(
+        &mut plain_sys,
+        &model,
+        &wl,
+        &SchedOptions::fifo(),
+        Some((&inj, &retry)),
+        &mut Recorder::disabled(),
+        None,
+    );
+    let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+    let mut rec = Recorder::disabled();
+    let (obs_m, _, obs_log) = simulate_scheduled(
+        &mut obs_sys,
+        &model,
+        &wl,
+        &SchedOptions::fifo(),
         Some((&inj, &retry)),
         &mut rec,
         None,
@@ -219,10 +237,11 @@ fn observed_lookahead_run(rate: f64) -> (ServeMetrics, FaultLog, Recorder, Token
     let inj = FaultInjector::new(FaultProfile::scaled(rate), 11);
     let retry = RetryPolicy::serving_default();
     let faults = (rate > 0.0).then_some((&inj, &retry));
-    let (metrics, log) = simulate_observed(
+    let (metrics, _, log) = simulate_scheduled(
         &mut sys,
         &model,
         &workload(),
+        &SchedOptions::fifo(),
         faults,
         &mut rec,
         Some(&mut attr),

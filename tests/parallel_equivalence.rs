@@ -158,7 +158,8 @@ fn trace_eval_metrics_are_bit_identical_across_thread_counts() {
 #[test]
 fn fault_schedule_is_bit_identical_across_thread_counts() {
     use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
-    use longsight::system::serving::{simulate_with_faults, WorkloadConfig};
+    use longsight::obs::Recorder;
+    use longsight::system::serving::{simulate_scheduled, SchedOptions, WorkloadConfig};
     use longsight::system::{LongSightConfig, LongSightSystem};
 
     let model = ModelConfig::llama3_8b();
@@ -175,12 +176,14 @@ fn fault_schedule_is_bit_identical_across_thread_counts() {
             ..WorkloadConfig::long_context_chat()
         };
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        let (metrics, log) = simulate_with_faults(
+        let (metrics, _, log) = simulate_scheduled(
             &mut serve_sys,
             &model,
             &workload,
-            &inj,
-            &RetryPolicy::serving_default(),
+            &SchedOptions::fifo(),
+            Some((&inj, &RetryPolicy::serving_default())),
+            &mut Recorder::disabled(),
+            None,
         );
         (
             layer.log.to_text(),
@@ -323,7 +326,7 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
     use longsight::obs::Recorder;
     use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
     use longsight::system::serving::{
-        simulate_fleet, simulate_observed, SchedOptions, WorkloadConfig,
+        simulate_fleet, simulate_scheduled, SchedOptions, WorkloadConfig,
     };
     use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
@@ -339,7 +342,15 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
             ..WorkloadConfig::long_context_chat()
         };
         let mut rec = Recorder::enabled();
-        let (m, _) = simulate_observed(&mut sys, &model, &wl, None, &mut rec, None);
+        let (m, _, _) = simulate_scheduled(
+            &mut sys,
+            &model,
+            &wl,
+            &SchedOptions::fifo(),
+            None,
+            &mut rec,
+            None,
+        );
         assert!(m.spec_hits > 0, "run speculated nothing");
 
         // Two-replica fleet with speculating replicas: the router's

@@ -4,7 +4,7 @@
 //!
 //! 1. **Legacy equivalence.** The scheduler is now the single serving
 //!    implementation; with the default all-interactive FIFO options, the
-//!    rewired `simulate` / `simulate_with_faults` must reproduce the
+//!    rewired `simulate` / faulted `simulate_scheduled` must reproduce the
 //!    pre-scheduler metrics **bit-identically** (values captured from the
 //!    legacy loop before the rewire, including the fault log's FNV-1a
 //!    fingerprint).
@@ -22,9 +22,7 @@ use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
 use longsight::sched::{SchedPolicy, SloClass, SloMix};
-use longsight::system::serving::{
-    simulate, simulate_scheduled, simulate_with_faults, SchedOptions, WorkloadConfig,
-};
+use longsight::system::serving::{simulate, simulate_scheduled, SchedOptions, WorkloadConfig};
 use longsight::system::{LongSightConfig, LongSightSystem};
 use std::sync::Mutex;
 
@@ -170,7 +168,15 @@ fn fifo_faulted_reproduces_legacy_log_bit_exact() {
     let wl = workload(2.0, 3, 5.0, (32_768, 65_536));
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
-    let (m, log) = simulate_with_faults(&mut sys, &model, &wl, &inj, &retry);
+    let (m, _, log) = simulate_scheduled(
+        &mut sys,
+        &model,
+        &wl,
+        &SchedOptions::fifo(),
+        Some((&inj, &retry)),
+        &mut Recorder::disabled(),
+        None,
+    );
     assert_eq!(m.completed, 8);
     assert_eq!(m.retried_tokens, 38);
     assert_eq!(m.degraded_tokens, 0);

@@ -25,9 +25,9 @@ use longsight::obs::timeseries::Export;
 use longsight::obs::{BurnConfig, Recorder};
 use longsight::sched::{BreakerConfig, FleetReport, RouterPolicy, SchedPolicy, SloMix};
 use longsight::system::serving::{
-    simulate_fleet_faulty, FleetFaultOptions, SchedOptions, ServeMetrics, WorkloadConfig,
+    simulate_fleet_with, FleetFaultOptions, SchedOptions, ServeMetrics, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 use std::sync::Mutex;
 
 /// The worker-count override is process-global, so tests that sweep it must
@@ -117,13 +117,14 @@ fn run_crashy(timeseries: bool) -> TracedRun {
     if timeseries {
         rec.enable_timeseries(250e6, BurnConfig::default());
     }
-    let (metrics, report) = simulate_fleet_faulty(
+    let (metrics, report) = simulate_fleet_with(
         &mut fleet,
         &model,
         &workload(),
         &opts(),
         RouterPolicy::JsqSpillover,
         &crashy(),
+        &SessionOptions::disabled(),
         &mut rec,
     );
     TracedRun {
