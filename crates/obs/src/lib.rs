@@ -303,6 +303,19 @@ impl Recorder {
         }
     }
 
+    /// Records every value of `values` into one histogram, in ascending
+    /// `total_cmp` order, so the histogram's floating-point sum depends on
+    /// the multiset alone and not on the order the caller left the values
+    /// in. Sorts `values` in place; no-op (and no sort) when disabled.
+    pub fn observe_all(&mut self, name: &str, values: &mut [f64]) {
+        if self.enabled {
+            values.sort_unstable_by(f64::total_cmp);
+            for &v in values.iter() {
+                self.metrics.observe(name, v);
+            }
+        }
+    }
+
     /// All recorded spans, in creation order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -507,6 +520,29 @@ mod tests {
         assert_eq!(r.spans.capacity(), 0);
         assert_eq!(r.instants.capacity(), 0);
         assert_eq!(r.tracks.capacity(), 0);
+    }
+
+    #[test]
+    fn observe_all_sums_in_ascending_order_whatever_the_input_order() {
+        // 0.1 + 0.2 + 1e16 and 1e16 + 0.2 + 0.1 round differently; the
+        // batch observation must give the ascending-order sum either way.
+        let ascending = [0.1, 0.2, 1e16];
+        let mut want = Recorder::enabled();
+        for &v in &ascending {
+            want.observe("h", v);
+        }
+        let mut got = Recorder::enabled();
+        let mut values = [1e16, 0.2, 0.1];
+        got.observe_all("h", &mut values);
+        assert_eq!(values, ascending);
+        let (w, g) = (want.metrics.histogram("h"), got.metrics.histogram("h"));
+        assert_eq!(w.unwrap().sum.to_bits(), g.unwrap().sum.to_bits());
+        assert_eq!(w, g);
+        let mut off = Recorder::disabled();
+        let mut untouched = [2.0, 1.0];
+        off.observe_all("h", &mut untouched);
+        assert_eq!(untouched, [2.0, 1.0], "disabled: no sort");
+        assert!(off.metrics.is_empty());
     }
 
     #[test]

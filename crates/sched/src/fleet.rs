@@ -231,7 +231,8 @@ impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
     /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica; they are sorted here. With the
+    /// samples across every replica, in any order; the percentiles select
+    /// over them in place, so their order afterwards is unspecified. With the
     /// fault/overload outcome attached the audit also checks the
     /// redispatch and shed logs (placed + shed = offered; per-replica
     /// arrivals = placements + redispatches into it).
@@ -247,8 +248,6 @@ impl FleetReport {
         for class in SloClass::ALL {
             let i = class.index();
             let (ref mut tok, ref mut req) = samples[i];
-            tok.sort_by(f64::total_cmp);
-            req.sort_by(f64::total_cmp);
             let sum = |f: fn(&ClassReport) -> usize| -> usize {
                 replicas.iter().map(|r| f(&r.per_class[i])).sum()
             };
@@ -919,20 +918,22 @@ mod tests {
     #[test]
     fn roll_up_merges_samples_not_percentiles() {
         // Replica 0 has fast tokens, replica 1 slow ones; the fleet p99
-        // must come from the merged population, not an average.
+        // must come from the merged population, not an average. The merged
+        // samples arrive in descending order: the roll-up selects ranks and
+        // does not rely on sorted input.
         let mut samples = no_samples();
-        samples[0].0 = vec![1.0, 1.0, 1.0];
+        samples[0].0 = vec![9.0, 1.0, 1.0, 1.0];
+        samples[0].1 = vec![40.0, 30.0, 20.0, 10.0];
         let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (1, 0), (2, 1)],
-            {
-                samples[0].0.push(9.0);
-                samples
-            },
+            samples,
             None,
         );
         assert_eq!(f.per_class[0].p99_token_ms, 9.0);
         assert_eq!(f.per_class[0].p50_token_ms, 1.0);
+        assert_eq!(f.per_class[0].p99_request_ms, 40.0);
+        assert_eq!(f.per_class[0].p50_request_ms, 20.0, "lower median");
     }
 }

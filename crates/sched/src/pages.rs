@@ -174,6 +174,9 @@ struct PrefixEntry {
 #[derive(Debug, Clone)]
 pub struct PagedKvManager {
     cfg: PageConfig,
+    /// `cfg.hbm_limit_pages()`, computed once: the configuration never
+    /// changes after construction.
+    hbm_limit: usize,
     enforce: bool,
     entries: Vec<Entry>,
     hbm_used: usize,
@@ -194,6 +197,7 @@ impl PagedKvManager {
     pub fn new(cfg: PageConfig, enforce: bool) -> Self {
         Self {
             cfg,
+            hbm_limit: cfg.hbm_limit_pages(),
             enforce,
             entries: Vec::new(),
             hbm_used: 0,
@@ -215,6 +219,12 @@ impl PagedKvManager {
         &self.cfg
     }
 
+    /// The enforced HBM ceiling in pages, [`PageConfig::hbm_limit_pages`]
+    /// of the configuration.
+    pub(crate) fn hbm_limit(&self) -> usize {
+        self.hbm_limit
+    }
+
     /// Whether capacities are enforced.
     pub fn is_enforcing(&self) -> bool {
         self.enforce
@@ -231,7 +241,7 @@ impl PagedKvManager {
 
     /// Whether `extra` more HBM pages would fit under the watermark ceiling.
     pub fn hbm_fits(&self, extra: usize) -> bool {
-        self.hbm_used + extra <= self.cfg.hbm_limit_pages()
+        self.hbm_used + extra <= self.hbm_limit
     }
 
     /// Whether `extra` more DReX pages would fit in the device.
@@ -257,7 +267,7 @@ impl PagedKvManager {
                 return Err(AllocError::HbmExhausted {
                     requested: hbm,
                     used: self.hbm_used,
-                    limit: self.cfg.hbm_limit_pages(),
+                    limit: self.hbm_limit,
                 });
             }
             if !self.drex_fits(drex) {
@@ -301,7 +311,7 @@ impl PagedKvManager {
             return Err(AllocError::HbmExhausted {
                 requested: hbm,
                 used: self.hbm_used,
-                limit: self.cfg.hbm_limit_pages(),
+                limit: self.hbm_limit,
             });
         }
         self.entries[i].hbm += hbm;
@@ -485,7 +495,7 @@ impl PagedKvManager {
             drex_used: self.drex_used,
             peak_hbm: self.peak_hbm,
             peak_drex: self.peak_drex,
-            hbm_limit: self.cfg.hbm_limit_pages(),
+            hbm_limit: self.hbm_limit,
             drex_capacity: self.cfg.drex_capacity_pages,
             holders: self.entries.len(),
             prefix_capacity: self.prefix_capacity,
@@ -525,7 +535,7 @@ impl PagedKvManager {
             }
         }
         if self.enforce {
-            let limit = self.cfg.hbm_limit_pages();
+            let limit = self.hbm_limit;
             if self.hbm_used > limit {
                 return Err(format!(
                     "HBM watermark exceeded: {} > {limit} pages",
@@ -570,6 +580,7 @@ impl PagedKvManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{SchedConfig, Scheduler};
 
     fn cfg() -> PageConfig {
         PageConfig {
@@ -599,14 +610,23 @@ mod tests {
         // Exact mathematical products must floor to themselves even when
         // the binary float product lands just below the integer
         // (0.29 × 100 = 28.999…96 as f64, 0.3 × 10 = 2.999…96).
+        // Every case also checks the ceilings cached at construction: the
+        // page manager's, and the scheduler's resume ceiling with the case
+        // as its low watermark under a full high watermark.
         let at = |capacity: usize, watermark: f64| {
-            PageConfig {
+            let cfg = PageConfig {
                 page_tokens: 1024,
                 hbm_capacity_pages: capacity,
                 drex_capacity_pages: 0,
                 hbm_watermark: watermark,
-            }
-            .hbm_limit_pages()
+            };
+            let limit = cfg.hbm_limit_pages();
+            assert_eq!(PagedKvManager::new(cfg, true).hbm_limit(), limit);
+            let mut sched = SchedConfig::slo_aware(cfg, 1024, 1024);
+            assert_eq!(Scheduler::new(sched.clone()).resume_limit_pages(), limit);
+            sched.pages.hbm_watermark = 1.0;
+            assert_eq!(Scheduler::new(sched).resume_limit_pages(), limit);
+            limit
         };
         assert_eq!(at(100, 0.29), 29);
         assert_eq!(at(10, 0.3), 3);

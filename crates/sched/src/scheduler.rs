@@ -116,17 +116,6 @@ impl SchedConfig {
         }
     }
 
-    /// The resume ceiling in pages: `floor(capacity × low_watermark)`,
-    /// snapped like [`PageConfig::hbm_limit_pages`] and never above the
-    /// eviction (high) limit.
-    fn resume_limit_pages(&self) -> usize {
-        let low = PageConfig {
-            hbm_watermark: self.hbm_low_watermark,
-            ..self.pages
-        };
-        low.hbm_limit_pages().min(self.pages.hbm_limit_pages())
-    }
-
     fn hbm_pages_for(&self, context: usize) -> usize {
         self.pages.pages_for(context.min(self.window_tokens))
     }
@@ -413,19 +402,27 @@ impl SchedReport {
 }
 
 /// Ceil nearest-rank percentile: the smallest sample such that at least
-/// `p` of the population is ≤ it, i.e. `sorted[ceil(len × p) - 1]`.
+/// `p` of the population is ≤ it, i.e. `sorted[ceil(len × p) - 1]` of the
+/// ascending order.
 ///
 /// The previous `.round()` nearest-rank collapsed p99 over small samples
 /// onto p50-adjacent ranks (and rounded half *up* at p50, picking the
 /// upper median); the ceil convention is monotone in `p` and pins p99 of
 /// a <100-sample population to the maximum, which is what the SLO tables
 /// report.
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
+///
+/// The rank is found by O(n) in-place selection, so `samples` need not be
+/// sorted and their order afterwards is unspecified. Under `total_cmp` two
+/// values compare equal only when their bits are equal, so the selected
+/// element has the same bits as the sorted order's element at that rank.
+pub(crate) fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    if samples.is_empty() {
         return 0.0;
     }
-    let rank = (sorted.len() as f64 * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let rank = (samples.len() as f64 * p).ceil() as usize;
+    *samples
+        .select_nth_unstable_by(rank.clamp(1, samples.len()) - 1, f64::total_cmp)
+        .1
 }
 
 /// The continuous-batching scheduler state machine.
@@ -433,6 +430,8 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 pub struct Scheduler {
     cfg: SchedConfig,
     pages: PagedKvManager,
+    /// See [`Scheduler::resume_limit_pages`]; fixed at construction.
+    resume_limit: usize,
     active: Vec<ActiveEntry>,
     waiting: Vec<Waiting>,
     chunks: Vec<(usize, f64)>,
@@ -455,8 +454,13 @@ impl Scheduler {
             "prefill_slots = 0 can never finish a prefill; validate before construction"
         );
         let pages = PagedKvManager::new(cfg.pages, cfg.enforce_pages);
+        let low = PageConfig {
+            hbm_watermark: cfg.hbm_low_watermark,
+            ..cfg.pages
+        };
         Self {
             cfg,
+            resume_limit: low.hbm_limit_pages().min(pages.hbm_limit()),
             pages,
             active: Vec::new(),
             waiting: Vec::new(),
@@ -471,6 +475,13 @@ impl Scheduler {
             prefill_work_ns: 0.0,
             class: Default::default(),
         }
+    }
+
+    /// The resume ceiling in pages: `floor(capacity × low_watermark)`,
+    /// snapped like [`PageConfig::hbm_limit_pages`] and never above the
+    /// eviction (high) limit.
+    pub(crate) fn resume_limit_pages(&self) -> usize {
+        self.resume_limit
     }
 
     /// Enables decision-event collection (for trace emission). Events never
@@ -623,14 +634,16 @@ impl Scheduler {
             active: self.active.len(),
             waiting: self.waiting.len(),
             hbm_used: self.pages.hbm_used(),
-            hbm_limit: self.cfg.pages.hbm_limit_pages(),
+            hbm_limit: self.pages.hbm_limit(),
             drex_used: self.pages.drex_used(),
             drex_capacity: self.cfg.pages.drex_capacity_pages,
         }
     }
 
-    /// Per-class `(token, request)` latency samples accumulated so far, in
-    /// recording order. Fleet roll-ups merge these across replicas and
+    /// Per-class `(token, request)` latency samples accumulated so far:
+    /// in recording order until [`Scheduler::finalize`] runs, in an
+    /// unspecified order after it (its percentile selection permutes them
+    /// in place). Fleet roll-ups merge these across replicas and
     /// recompute percentiles over the union — averaging per-replica
     /// percentiles would be wrong.
     pub fn class_samples(&self) -> [(&[f64], &[f64]); 3] {
@@ -718,8 +731,8 @@ impl Scheduler {
             SchedPolicy::SloAware => {
                 let hbm = self.cfg.hbm_pages_for(req.context);
                 let drex = self.cfg.drex_pages_for(req.context);
-                let never_fits = hbm > self.pages.config().hbm_limit_pages()
-                    || drex > self.pages.config().drex_capacity_pages;
+                let never_fits =
+                    hbm > self.pages.hbm_limit() || drex > self.pages.config().drex_capacity_pages;
                 if never_fits || !feasible(1, req.context) {
                     self.rejected += 1;
                     self.class[req.class.index()].rejected += 1;
@@ -829,7 +842,7 @@ impl Scheduler {
         // immediately undone by a resume back to the ceiling (ping-pong).
         // With equal watermarks this is exactly the hbm_fits check above.
         if self.waiting[pick].preempted
-            && self.pages.hbm_used() + need_hbm > self.cfg.resume_limit_pages()
+            && self.pages.hbm_used() + need_hbm > self.resume_limit_pages()
         {
             return false;
         }
@@ -1123,8 +1136,6 @@ impl Scheduler {
         }
         let mut per_class: [ClassReport; 3] = Default::default();
         for (out, acc) in per_class.iter_mut().zip(self.class.iter_mut()) {
-            acc.token_lat_ms.sort_by(f64::total_cmp);
-            acc.request_lat_ms.sort_by(f64::total_cmp);
             *out = ClassReport {
                 arrived: acc.arrived,
                 completed: acc.completed,
@@ -1132,10 +1143,10 @@ impl Scheduler {
                 failed: acc.failed,
                 preempted: acc.preempted,
                 tokens: acc.tokens,
-                p50_token_ms: percentile(&acc.token_lat_ms, 0.5),
-                p99_token_ms: percentile(&acc.token_lat_ms, 0.99),
-                p50_request_ms: percentile(&acc.request_lat_ms, 0.5),
-                p99_request_ms: percentile(&acc.request_lat_ms, 0.99),
+                p50_token_ms: percentile(&mut acc.token_lat_ms, 0.5),
+                p99_token_ms: percentile(&mut acc.token_lat_ms, 0.99),
+                p50_request_ms: percentile(&mut acc.request_lat_ms, 0.5),
+                p99_request_ms: percentile(&mut acc.request_lat_ms, 0.99),
             };
         }
         SchedReport {
@@ -1349,26 +1360,86 @@ mod tests {
         // round(3 × 0.99) = 3 (correct) but a 50-sample p99 landed on
         // round(49 × 0.99) = 49 only by luck of rounding — and p50 of an
         // even population rounded *up* to the upper median.
-        let four = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&four, 0.99), 4.0);
-        assert_eq!(percentile(&four, 0.5), 2.0, "lower median");
-        assert_eq!(percentile(&four, 1.0), 4.0);
-        assert_eq!(percentile(&four, 0.0), 1.0, "rank clamps to 1");
-        let one = [7.0];
-        assert_eq!(percentile(&one, 0.5), 7.0);
-        assert_eq!(percentile(&one, 0.99), 7.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
+        let mut four = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&mut four, 0.99), 4.0);
+        assert_eq!(percentile(&mut four, 0.5), 2.0, "lower median");
+        assert_eq!(percentile(&mut four, 1.0), 4.0);
+        assert_eq!(percentile(&mut four, 0.0), 1.0, "rank clamps to 1");
+        let mut one = [7.0];
+        assert_eq!(percentile(&mut one, 0.5), 7.0);
+        assert_eq!(percentile(&mut one, 0.99), 7.0);
+        assert_eq!(percentile(&mut [], 0.99), 0.0);
         // 50 samples: ceil(50 × 0.99) = 50 → the maximum, and
         // ceil(50 × 0.5) = 25 → the lower median.
-        let fifty: Vec<f64> = (1..=50).map(|i| i as f64).collect();
-        assert_eq!(percentile(&fifty, 0.99), 50.0);
-        assert_eq!(percentile(&fifty, 0.5), 25.0);
+        let mut fifty: Vec<f64> = (1..=50).map(|i| i as f64).collect();
+        assert_eq!(percentile(&mut fifty, 0.99), 50.0);
+        assert_eq!(percentile(&mut fifty, 0.5), 25.0);
         // Monotone in p.
         let mut last = f64::NEG_INFINITY;
         for i in 0..=20 {
-            let v = percentile(&fifty, i as f64 / 20.0);
+            let v = percentile(&mut fifty, i as f64 / 20.0);
             assert!(v >= last);
             last = v;
+        }
+    }
+
+    /// Random populations for the percentile property tests: plain values,
+    /// heavy duplicates, IEEE special values and raw bit patterns.
+    fn percentile_populations() -> Vec<Vec<f64>> {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+        ];
+        let mut out = Vec::new();
+        for len in [0, 1, 2, 99, 100, 10_000] {
+            let mut plain = Vec::with_capacity(len);
+            let mut dups = Vec::with_capacity(len);
+            let mut special = Vec::with_capacity(len);
+            let mut bits = Vec::with_capacity(len);
+            for _ in 0..len {
+                plain.push((next() >> 11) as f64 / (1u64 << 53) as f64 * 1e3);
+                dups.push((next() % 3) as f64);
+                special.push(specials[(next() % specials.len() as u64) as usize]);
+                bits.push(f64::from_bits(next()));
+            }
+            out.extend([plain, dups, special, bits]);
+        }
+        out
+    }
+
+    #[test]
+    fn percentile_selection_matches_sort_then_index() {
+        for pop in percentile_populations() {
+            let mut sorted = pop.clone();
+            sorted.sort_by(f64::total_cmp);
+            // Successive selections on one slice, as the roll-ups run them.
+            let mut v = pop.clone();
+            for p in [0.0, 0.5, 0.99, 1.0] {
+                let want = if sorted.is_empty() {
+                    0.0
+                } else {
+                    let rank = (sorted.len() as f64 * p).ceil() as usize;
+                    sorted[rank.clamp(1, sorted.len()) - 1]
+                };
+                let got = percentile(&mut v, p);
+                assert_eq!(got.to_bits(), want.to_bits(), "n {} p {p}", pop.len());
+            }
         }
     }
 
@@ -1505,7 +1576,8 @@ mod tests {
     fn low_watermark_equal_to_high_is_inert() {
         let cfg = slo_cfg();
         assert_eq!(cfg.hbm_low_watermark, cfg.pages.hbm_watermark);
-        assert_eq!(cfg.resume_limit_pages(), cfg.pages.hbm_limit_pages());
+        let limit = cfg.pages.hbm_limit_pages();
+        assert_eq!(Scheduler::new(cfg).resume_limit_pages(), limit);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! unoverlapped chain exactly (see [`SpecSample`]).
 
 use crate::report::{SpecStep, StepReport};
+use crate::serving::percentile;
 
 /// Names of the attribution components, in table order. The first eight
 /// are always populated; `spec_miss` and `overlap_hidden` only with the
@@ -138,15 +139,6 @@ pub struct SpecSample {
     pub penalty_ns: f64,
 }
 
-/// Same nearest-rank percentile the serving metrics use.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Per-token latency attribution collected across a serving run.
 ///
 /// One sample per generated token (batch size capped at 64 per step, the
@@ -231,7 +223,8 @@ impl TokenAttribution {
     }
 
     /// `(mean, p50, p99)` of the total token latency, ms. The percentiles
-    /// here equal `ServeMetrics::{p50,p99}_token_ms` of the same run.
+    /// come from the serving estimator itself, so they equal
+    /// `ServeMetrics::{p50,p99}_token_ms` of the same run.
     pub fn total_stats(&self) -> (f64, f64, f64) {
         Self::stats_of(&self.totals)
     }
@@ -241,9 +234,8 @@ impl TokenAttribution {
             return (0.0, 0.0, 0.0);
         }
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        (mean, percentile(&sorted, 0.5), percentile(&sorted, 0.99))
+        let mut v = samples.to_vec();
+        (mean, percentile(&mut v, 0.5), percentile(&mut v, 0.99))
     }
 
     /// The attribution table: one row per component plus a total row. The

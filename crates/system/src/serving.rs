@@ -418,12 +418,20 @@ impl ServeMetrics {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile on the `round((n − 1) × p)` index of the
+/// ascending order, 0 for an empty population — the estimator of every
+/// [`ServeMetrics`] and [`crate::TokenAttribution`] percentile.
+///
+/// The index is found by O(n) in-place selection, so `samples` need not be
+/// sorted and their order afterwards is unspecified. Under `total_cmp` two
+/// values compare equal only when their bits are equal, so the selected
+/// element has the same bits as the sorted order's element at that index.
+pub(crate) fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    if samples.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
+    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
+    *samples.select_nth_unstable_by(idx, f64::total_cmp).1
 }
 
 #[derive(Debug, Clone)]
@@ -1081,8 +1089,6 @@ pub fn simulate_scheduled(
             token_lat.push(dt / 1e6);
         }
     }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
 
     let span_s = (now.max(1.0)) / 1e9;
     let slo_burn = finalize_slo_burn(rec);
@@ -1095,10 +1101,10 @@ pub fn simulate_scheduled(
             - sched.waiting_len()
             - degrade.failed_requests,
         throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
+        p50_token_ms: percentile(&mut token_lat, 0.5),
+        p99_token_ms: percentile(&mut token_lat, 0.99),
+        p50_request_ms: percentile(&mut request_latencies, 0.5),
+        p99_request_ms: percentile(&mut request_latencies, 0.99),
         mean_batch: if step_times.is_empty() {
             0.0
         } else {
@@ -1119,12 +1125,8 @@ pub fn simulate_scheduled(
     };
     let sched_report = sched.finalize();
     if rec.is_enabled() {
-        for &t in &token_lat {
-            rec.observe("serving.token_latency_ms", t);
-        }
-        for &r in &request_latencies {
-            rec.observe("serving.request_latency_ms", r);
-        }
+        rec.observe_all("serving.token_latency_ms", &mut token_lat);
+        rec.observe_all("serving.request_latency_ms", &mut request_latencies);
         rec.counter_add("serving.completed", metrics.completed as u64);
         rec.counter_add("serving.rejected", metrics.rejected as u64);
         rec.counter_add("serving.generated_tokens", generated_tokens as u64);
@@ -1725,6 +1727,8 @@ pub fn simulate_fleet_with(
         pulls: Vec::new(),
     };
     let mut placements: Vec<Placement> = Vec::with_capacity(total_arrived);
+    // Per-arrival load snapshot, refilled in place.
+    let mut loads = Vec::with_capacity(n);
     while let Some(a) = arrivals.pop() {
         let pf_ns = prefill_ns.pop().expect("paired with arrivals");
         let class = classes.pop().expect("paired with arrivals");
@@ -1766,7 +1770,8 @@ pub fn simulate_fleet_with(
                 }
             }
         }
-        let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
+        loads.clear();
+        loads.extend(replicas.iter().map(|r| r.sched.load()));
         // The owning replica only counts while its cache still holds the
         // prefix (LRU reclaim or a crash wipe orphans the owner map entry).
         let (owner, owner_pages) = turn
@@ -1986,8 +1991,6 @@ pub fn simulate_fleet_with(
             samples[i].1.extend_from_slice(req);
         }
     }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
     let span_s = fleet_now.max(1.0) / 1e9;
     let shed_total = summary.shed.len();
     let metrics = ServeMetrics {
@@ -1995,10 +1998,10 @@ pub fn simulate_fleet_with(
         rejected,
         in_flight: total_arrived - request_latencies.len() - rejected - waiting - shed_total,
         throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
+        p50_token_ms: percentile(&mut token_lat, 0.5),
+        p99_token_ms: percentile(&mut token_lat, 0.99),
+        p50_request_ms: percentile(&mut request_latencies, 0.5),
+        p99_request_ms: percentile(&mut request_latencies, 0.99),
         mean_batch: if batch_steps == 0 {
             0.0
         } else {
@@ -2337,6 +2340,49 @@ mod tests {
             None,
         );
         (m, log)
+    }
+
+    #[test]
+    fn percentile_selection_matches_sort_then_index() {
+        // Plain values, heavy duplicates, IEEE special values and raw bit
+        // patterns; successive selections on one slice, as the roll-ups
+        // run them, against the sort-then-index rule bit for bit.
+        let mut rng = SimRng::seed_from(0x5eed);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+        ];
+        for len in [0, 1, 2, 99, 100, 10_000] {
+            let mut pops = [const { Vec::new() }; 4];
+            for _ in 0..len {
+                pops[0].push(rng.uniform() * 1e3);
+                pops[1].push(rng.below(3) as f64);
+                pops[2].push(specials[rng.below(specials.len())]);
+                pops[3].push(f64::from_bits(rng.next_u64()));
+            }
+            for pop in pops {
+                let mut sorted = pop.clone();
+                sorted.sort_by(f64::total_cmp);
+                let mut v = pop;
+                for p in [0.0, 0.5, 0.99, 1.0] {
+                    let want = if sorted.is_empty() {
+                        0.0
+                    } else {
+                        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+                    };
+                    let got = percentile(&mut v, p);
+                    assert_eq!(got.to_bits(), want.to_bits(), "n {len} p {p}");
+                }
+            }
+        }
     }
 
     #[test]

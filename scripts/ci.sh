@@ -7,6 +7,8 @@
 #   2. lint gate (clippy, warnings are errors)
 #   3. no-unwrap gate for the fault-hardened crates
 #   3b. packed-sign-store gate (no per-key SignBits in the hybrid scan)
+#   3c. percentile-selection gate (no full f64 sort in sched/system code:
+#       percentiles select their rank in O(n))
 #   4. sim-time-only gate (no wall-clock reads in the instrumented crates)
 #   5. release build (all crates, all bench targets compile), then the
 #      scf kernel smoke (packed scan bit-identical to and faster than the
@@ -69,6 +71,23 @@ packed_hits=$(
 if [ -n "$packed_hits" ]; then
     echo "error: per-key SignBits construction in the hybrid scan hot path:" >&2
     echo "$packed_hits" >&2
+    exit 1
+fi
+
+# Every reported percentile in the scheduler and the serving stack is an
+# O(n) in-place selection (`select_nth_unstable_by`); a full sort of the
+# latency samples is the host cost that selection removed. Test modules
+# (each file from its first `#[cfg(test)]` on) may sort to build
+# reference values.
+echo "== percentile-selection gate (no full f64 sort in sched, system) =="
+sort_hits=$(
+    find crates/sched/src crates/system/src -name '*.rs' -print0 |
+        xargs -0 awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1}
+            !skip && /sort(_unstable)?_by\(f64::total_cmp\)/ {print FILENAME ":" FNR ": " $0}'
+)
+if [ -n "$sort_hits" ]; then
+    echo "error: full f64 sort outside tests in sched/system (select the rank instead):" >&2
+    echo "$sort_hits" >&2
     exit 1
 fi
 
