@@ -83,7 +83,7 @@ fn main() {
             k: 1024,
             survivors: keys / 20,
         };
-        let t = time_slice_offload(&params, &spec, keys, keys / 20, 3);
+        let t = time_slice_offload(&params, &spec, keys, keys / 20, 3, None).expect("valid slice");
         rows.push(vec![
             keys.to_string(),
             (keys.div_ceil(1024) * 8).min(1024).to_string(),
@@ -105,7 +105,7 @@ fn main() {
     let mut rows = Vec::new();
     for block in [1usize, 8, 128, 1024] {
         let blocks = tokens / block;
-        let ns = blocks as f64 * link.transfer_ns(block * per_token);
+        let ns = blocks as f64 * link.transfer_ns(block * per_token, 0);
         rows.push(vec![
             block.to_string(),
             fmt_ns(ns),
@@ -155,7 +155,7 @@ fn main() {
             k: 1024,
             survivors: 131_072 / 20,
         };
-        let t = time_slice_offload(&p, &spec, 131_072, 131_072 / 20, 9);
+        let t = time_slice_offload(&p, &spec, 131_072, 131_072 / 20, 9, None).expect("valid slice");
         rows.push(vec![
             width.to_string(),
             fmt_ns(t.filter_ns),

@@ -17,15 +17,12 @@
 //!
 //! let link = CxlLink::pcie5_x16();
 //! // Reading 1024 top-k value vectors of 128 BF16 dims ≈ 256 KiB:
-//! let ns = link.transfer_ns(1024 * 128 * 2);
+//! let ns = link.transfer_ns(1024 * 128 * 2, 0);
 //! assert!(ns > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use longsight_faults::{domain, FaultInjector};
-use longsight_obs::{ArgVal, Recorder, TrackId};
 
 /// Flit window retransmitted per CRC replay round, bytes. PCIe/CXL links
 /// recover from CRC errors by replaying from the last acknowledged flit, so
@@ -65,9 +62,14 @@ impl CxlLink {
         }
     }
 
-    /// Time for a bulk transfer of `bytes` over the link.
-    pub fn transfer_ns(&self, bytes: usize) -> f64 {
-        self.base_latency_ns + bytes as f64 / self.bandwidth_gbps
+    /// Time for a bulk transfer of `bytes` over the link that pays
+    /// `replays` CRC replay rounds (0 on a clean link). Each round adds a
+    /// fixed [`CxlLink::replay_penalty_ns`], so the time is monotone in the
+    /// replay count.
+    pub fn transfer_ns(&self, bytes: usize, replays: u32) -> f64 {
+        self.base_latency_ns
+            + bytes as f64 / self.bandwidth_gbps
+            + replays as f64 * self.replay_penalty_ns(bytes)
     }
 
     /// Time to submit a descriptor of `bytes` via MMIO writes (64 B per
@@ -82,19 +84,15 @@ impl CxlLink {
     /// Completion observation time: the device finishes at `ready_at`
     /// (relative ns); the GPU polls every `poll_interval_ns`. Returns the
     /// time at which the GPU *observes* completion, including the final
-    /// MMIO read.
-    pub fn polled_completion_ns(&self, ready_at: f64) -> f64 {
-        if ready_at <= 0.0 {
-            return self.mmio_read_ns;
-        }
-        let polls = (ready_at / self.poll_interval_ns).ceil();
-        polls * self.poll_interval_ns + self.mmio_read_ns
-    }
-
-    /// End-to-end time to make the result of `bytes` visible to the GPU:
-    /// polling until `ready_at`, then reading the payload.
-    pub fn observe_and_read_ns(&self, ready_at: f64, bytes: usize) -> f64 {
-        self.polled_completion_ns(ready_at) + self.transfer_ns(bytes)
+    /// MMIO read. Each of the `replays` CRC replay rounds on the completion
+    /// message costs the GPU one extra polling round.
+    pub fn polled_completion_ns(&self, ready_at: f64, replays: u32) -> f64 {
+        let observed = if ready_at <= 0.0 {
+            self.mmio_read_ns
+        } else {
+            (ready_at / self.poll_interval_ns).ceil() * self.poll_interval_ns + self.mmio_read_ns
+        };
+        observed + replays as f64 * self.poll_interval_ns
     }
 
     /// In-flight transfer accounting for the lookahead pipeline: given a
@@ -113,120 +111,6 @@ impl CxlLink {
     pub fn replay_penalty_ns(&self, bytes: usize) -> f64 {
         self.base_latency_ns + bytes.min(REPLAY_WINDOW_BYTES) as f64 / self.bandwidth_gbps
     }
-
-    /// Bulk transfer time including `replays` CRC replay rounds. With zero
-    /// replays this is exactly [`CxlLink::transfer_ns`]; each round adds a
-    /// fixed penalty, so the time is monotone in the replay count.
-    pub fn transfer_ns_with_replays(&self, bytes: usize, replays: u32) -> f64 {
-        self.transfer_ns(bytes) + replays as f64 * self.replay_penalty_ns(bytes)
-    }
-
-    /// Completion observation under replays: a replayed completion message
-    /// costs the GPU one extra polling round per replay on top of
-    /// [`CxlLink::polled_completion_ns`].
-    pub fn polled_completion_ns_with_replays(&self, ready_at: f64, replays: u32) -> f64 {
-        self.polled_completion_ns(ready_at) + replays as f64 * self.poll_interval_ns
-    }
-
-    /// [`CxlLink::descriptor_submit_ns`] that also emits a `cxl.submit` span
-    /// starting at simulated time `start_ns` on `track`.
-    pub fn descriptor_submit_ns_traced(
-        &self,
-        bytes: usize,
-        rec: &mut Recorder,
-        track: TrackId,
-        start_ns: f64,
-    ) -> f64 {
-        let t = self.descriptor_submit_ns(bytes);
-        rec.leaf_with(
-            track,
-            "cxl.submit",
-            start_ns,
-            start_ns + t,
-            &[("bytes", ArgVal::U(bytes as u64))],
-        );
-        t
-    }
-
-    /// [`CxlLink::polled_completion_ns_with_replays`] that also emits a
-    /// `cxl.poll` span starting at simulated time `start_ns` on `track`.
-    pub fn polled_completion_ns_traced(
-        &self,
-        ready_at: f64,
-        replays: u32,
-        rec: &mut Recorder,
-        track: TrackId,
-        start_ns: f64,
-    ) -> f64 {
-        let t = self.polled_completion_ns_with_replays(ready_at, replays);
-        rec.leaf_with(
-            track,
-            "cxl.poll",
-            start_ns,
-            start_ns + t,
-            &[
-                ("ready_at_ns", ArgVal::F(ready_at)),
-                ("replays", ArgVal::U(replays as u64)),
-            ],
-        );
-        t
-    }
-
-    /// [`CxlLink::transfer_ns_with_replays`] that also emits a `cxl.transfer`
-    /// span starting at simulated time `start_ns` on `track`. Replay rounds
-    /// (CRC retransmits) are recorded as an argument so faulted transfers are
-    /// distinguishable in the trace viewer.
-    pub fn transfer_ns_traced(
-        &self,
-        bytes: usize,
-        replays: u32,
-        rec: &mut Recorder,
-        track: TrackId,
-        start_ns: f64,
-    ) -> f64 {
-        let t = self.transfer_ns_with_replays(bytes, replays);
-        rec.leaf_with(
-            track,
-            "cxl.transfer",
-            start_ns,
-            start_ns + t,
-            &[
-                ("bytes", ArgVal::U(bytes as u64)),
-                ("replays", ArgVal::U(replays as u64)),
-            ],
-        );
-        t
-    }
-
-    /// Fault-injected bulk transfer: samples the CRC replay count for this
-    /// transfer's event `stream` from `inj` (deterministically — the count
-    /// depends only on the injector's seed and the stream key) and returns
-    /// `(transfer time, replay rounds)`.
-    pub fn transfer_ns_injected(
-        &self,
-        bytes: usize,
-        inj: &FaultInjector,
-        stream: u64,
-    ) -> (f64, u32) {
-        let replays = inj.link_replays(longsight_faults::stream(domain::LINK, stream, 0, 0));
-        (self.transfer_ns_with_replays(bytes, replays), replays)
-    }
-
-    /// Fault-injected end-to-end observation: polling (inflated by one poll
-    /// round per replay) plus the replayed payload read. Returns
-    /// `(observed time, replay rounds)`.
-    pub fn observe_and_read_ns_injected(
-        &self,
-        ready_at: f64,
-        bytes: usize,
-        inj: &FaultInjector,
-        stream: u64,
-    ) -> (f64, u32) {
-        let replays = inj.link_replays(longsight_faults::stream(domain::LINK, stream, 0, 0));
-        let t = self.polled_completion_ns_with_replays(ready_at, replays)
-            + self.transfer_ns_with_replays(bytes, replays);
-        (t, replays)
-    }
 }
 
 impl Default for CxlLink {
@@ -242,12 +126,12 @@ mod tests {
     #[test]
     fn transfer_scales_linearly_with_size() {
         let l = CxlLink::pcie5_x16();
-        let small = l.transfer_ns(1024);
-        let big = l.transfer_ns(1024 * 1024);
+        let small = l.transfer_ns(1024, 0);
+        let big = l.transfer_ns(1024 * 1024, 0);
         assert!(big > small);
         // Slope check: doubling payload doubles the bandwidth term.
-        let a = l.transfer_ns(2_000_000) - l.base_latency_ns;
-        let b = l.transfer_ns(1_000_000) - l.base_latency_ns;
+        let a = l.transfer_ns(2_000_000, 0) - l.base_latency_ns;
+        let b = l.transfer_ns(1_000_000, 0) - l.base_latency_ns;
         assert!((a / b - 2.0).abs() < 1e-9);
     }
 
@@ -256,10 +140,10 @@ mod tests {
         let l = CxlLink::pcie5_x16();
         // Ready at 250 ns with a 200 ns poll period → observed on the poll
         // at 400 ns plus the read round trip.
-        let t = l.polled_completion_ns(250.0);
+        let t = l.polled_completion_ns(250.0, 0);
         assert!((t - (400.0 + l.mmio_read_ns)).abs() < 1e-9);
         // Already ready: one read.
-        assert_eq!(l.polled_completion_ns(0.0), l.mmio_read_ns);
+        assert_eq!(l.polled_completion_ns(0.0, 0), l.mmio_read_ns);
     }
 
     #[test]
@@ -287,71 +171,25 @@ mod tests {
     fn replays_inflate_transfer_and_polling_monotonically() {
         let l = CxlLink::pcie5_x16();
         let bytes = 256 * 1024;
-        assert_eq!(l.transfer_ns_with_replays(bytes, 0), l.transfer_ns(bytes));
-        let t1 = l.transfer_ns_with_replays(bytes, 1);
-        let t3 = l.transfer_ns_with_replays(bytes, 3);
-        assert!(t1 > l.transfer_ns(bytes));
+        let clean = l.transfer_ns(bytes, 0);
+        assert_eq!(clean, l.base_latency_ns + bytes as f64 / l.bandwidth_gbps);
+        let t1 = l.transfer_ns(bytes, 1);
+        let t3 = l.transfer_ns(bytes, 3);
+        assert!(t1 > clean);
         assert!(t3 > t1);
         // Replay retransmits a flit window, never the full payload.
-        assert!(t1 - l.transfer_ns(bytes) < l.transfer_ns(bytes));
+        assert!(t1 - clean < clean);
         assert_eq!(
-            l.polled_completion_ns_with_replays(500.0, 0),
-            l.polled_completion_ns(500.0)
+            l.polled_completion_ns(500.0, 2),
+            l.polled_completion_ns(500.0, 0) + 2.0 * l.poll_interval_ns
         );
-        assert!(l.polled_completion_ns_with_replays(500.0, 2) > l.polled_completion_ns(500.0));
-    }
-
-    #[test]
-    fn injected_transfer_is_deterministic_and_clean_when_disabled() {
-        use longsight_faults::{FaultInjector, FaultProfile};
-        let l = CxlLink::pcie5_x16();
-        let off = FaultInjector::disabled();
-        let (t, r) = l.transfer_ns_injected(4096, &off, 42);
-        assert_eq!(r, 0);
-        assert_eq!(t, l.transfer_ns(4096));
-        let inj = FaultInjector::new(FaultProfile::severe(), 9);
-        let a = l.observe_and_read_ns_injected(1000.0, 4096, &inj, 42);
-        let b = l.observe_and_read_ns_injected(1000.0, 4096, &inj, 42);
-        assert_eq!(a, b, "same stream must reproduce the same replay count");
-        // At severe rates, some stream in a small range replays.
-        let replayed = (0..100u64)
-            .map(|s| l.transfer_ns_injected(4096, &inj, s).1)
-            .any(|r| r > 0);
-        assert!(replayed);
-    }
-
-    #[test]
-    fn traced_variants_match_plain_and_emit_spans() {
-        let l = CxlLink::pcie5_x16();
-        let mut rec = Recorder::enabled();
-        let track = rec.track("cxl");
-        let mut at = 0.0;
-        let submit = l.descriptor_submit_ns_traced(256, &mut rec, track, at);
-        assert_eq!(submit, l.descriptor_submit_ns(256));
-        at += submit;
-        let poll = l.polled_completion_ns_traced(1000.0, 1, &mut rec, track, at);
-        assert_eq!(poll, l.polled_completion_ns_with_replays(1000.0, 1));
-        at += poll;
-        let xfer = l.transfer_ns_traced(4096, 2, &mut rec, track, at);
-        assert_eq!(xfer, l.transfer_ns_with_replays(4096, 2));
-        assert_eq!(rec.spans().len(), 3);
-        rec.validate_well_formed().unwrap();
-
-        // No-op recorder: identical numbers, zero events.
-        let mut off = Recorder::disabled();
-        let t0 = off.track("cxl");
-        assert_eq!(
-            l.transfer_ns_traced(4096, 2, &mut off, t0, 0.0),
-            l.transfer_ns_with_replays(4096, 2)
-        );
-        assert!(off.spans().is_empty());
     }
 
     #[test]
     fn value_readback_time_is_plausible() {
         // 1024 values × 128 dims × 2 B ≈ 256 KiB → ~5 µs at 54 GB/s.
         let l = CxlLink::pcie5_x16();
-        let ns = l.transfer_ns(1024 * 128 * 2);
+        let ns = l.transfer_ns(1024 * 128 * 2, 0);
         assert!((4_000.0..8_000.0).contains(&ns), "got {ns}");
     }
 }

@@ -8,9 +8,10 @@
 //! This module tracks per-NMA busy timelines, which is what produces the
 //! multi-user contention behaviour of Figs 8 (bottom) and 9.
 
-use crate::descriptor::REQUEST_QUEUE_DEPTH;
 use crate::layout::MAX_CONTEXT_SLICE_KEYS;
-use crate::offload::{time_slice_offload, DrexParams, HeadOffloadSpec, HeadOffloadTiming};
+use crate::offload::{
+    slice_layout, time_slice_offload, DrexParams, HeadOffloadSpec, HeadOffloadTiming,
+};
 use longsight_cxl::CxlLink;
 use longsight_faults::FaultError;
 use longsight_obs::{ArgVal, Recorder};
@@ -54,7 +55,6 @@ pub struct DccSim {
     params: DrexParams,
     link: CxlLink,
     nma_busy: Vec<f64>,
-    in_flight: usize,
     served: u64,
 }
 
@@ -70,7 +70,6 @@ impl DccSim {
             params,
             link,
             nma_busy: vec![0.0; packages],
-            in_flight: 0,
             served: 0,
         }
     }
@@ -93,7 +92,6 @@ impl DccSim {
     /// Resets the NMA timelines (new measurement epoch).
     pub fn reset_timelines(&mut self) {
         self.nma_busy.iter_mut().for_each(|t| *t = 0.0);
-        self.in_flight = 0;
     }
 
     /// Schedules pre-timed slice workloads onto the NMA timelines, starting
@@ -102,23 +100,19 @@ impl DccSim {
     /// This is the fast path for serving-level simulation where many users
     /// submit *identical* workloads: the caller times each distinct slice
     /// once and replays the durations here.
-    pub fn schedule_slices(&mut self, start_ns: f64, slices: &[(usize, f64)]) -> (f64, f64) {
-        let mut rec = Recorder::disabled();
-        self.schedule_slices_traced(start_ns, slices, &mut rec, "nma.slice")
-    }
-
-    /// [`DccSim::schedule_slices`] that also emits one span per slice on a
-    /// per-NMA track (`nma/p{slot}`), named `label`, covering the slice's
-    /// busy interval with its queueing delay as an argument. The returned
-    /// `(done, wait)` and the busy-timeline mutation are bit-identical to the
-    /// plain call.
-    pub fn schedule_slices_traced(
+    ///
+    /// With `trace = Some((rec, label))` each slice also becomes one span
+    /// named `label` on its per-NMA track (`nma/p{slot}`), covering the
+    /// slice's busy interval with its queueing delay as an argument.
+    /// Recording only reads the schedule, so the result and the busy
+    /// timelines are the same traced or not.
+    pub fn schedule_slices(
         &mut self,
         start_ns: f64,
         slices: &[(usize, f64)],
-        rec: &mut Recorder,
-        label: &str,
+        trace: Option<(&mut Recorder, &str)>,
     ) -> (f64, f64) {
+        let mut trace = trace.filter(|(rec, _)| rec.is_enabled());
         let mut done = start_ns;
         let mut wait: f64 = 0.0;
         for &(pkg, duration) in slices {
@@ -128,7 +122,7 @@ impl DccSim {
             let end = begin + duration;
             self.nma_busy[slot] = end;
             done = done.max(end);
-            if rec.is_enabled() {
+            if let Some((rec, label)) = trace.as_mut() {
                 let track = rec.track(&format!("nma/p{slot}"));
                 rec.leaf_with(
                     track,
@@ -145,51 +139,28 @@ impl DccSim {
     /// Submits one request at `arrival_ns`.
     ///
     /// `descriptor_bytes`/`response_bytes` size the CXL transfers; `heads`
-    /// lists each KV head's workload and slice placement.
+    /// lists each KV head's workload and slice placement. Each head's region
+    /// is split into Context Slices by [`slice_layout`], and every slice is
+    /// timed with [`time_slice_offload`] on a seed keyed by the request,
+    /// head and slice index.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first slice's [`FaultError::InvalidSpec`] for an
+    /// inconsistent head workload (e.g. `k` beyond the hardware limit). The
+    /// NMA timelines may then hold part of the rejected request.
     ///
     /// # Panics
     ///
-    /// Panics if the hardware queue would overflow (more than 512 requests
-    /// in flight) or a slice placement is inconsistent. Fault-tolerant
-    /// callers should use [`DccSim::try_submit`] instead.
+    /// Panics if a head's slice placement does not name one package per
+    /// Context Slice — a programmer error, not an injectable fault.
     pub fn submit(
         &mut self,
         arrival_ns: f64,
         heads: &[HeadWork],
         descriptor_bytes: usize,
         response_bytes: usize,
-    ) -> RequestTiming {
-        match self.try_submit(arrival_ns, heads, descriptor_bytes, response_bytes) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`DccSim::submit`] with a typed error path: a full hardware queue
-    /// comes back as [`FaultError::QueueOverflow`] so overload propagates as
-    /// a `Result` instead of aborting the simulation.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::QueueOverflow`] when more than the hardware queue depth
-    /// of requests are in flight.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on inconsistent slice placements — those are programmer
-    /// errors, not injectable faults.
-    pub fn try_submit(
-        &mut self,
-        arrival_ns: f64,
-        heads: &[HeadWork],
-        descriptor_bytes: usize,
-        response_bytes: usize,
     ) -> Result<RequestTiming, FaultError> {
-        if self.in_flight >= REQUEST_QUEUE_DEPTH {
-            return Err(FaultError::QueueOverflow {
-                depth: REQUEST_QUEUE_DEPTH,
-            });
-        }
         let submitted_ns = arrival_ns + self.link.descriptor_submit_ns(descriptor_bytes);
 
         let mut device_done = submitted_ns;
@@ -210,31 +181,19 @@ impl DccSim {
             );
             let mut head_done = submitted_ns;
             let mut head_worst = HeadOffloadTiming::default();
-            let mut remaining = head.spec.context_len;
-            let mut remaining_survivors = head.spec.survivors;
-            for (si, &pkg) in head.slice_packages.iter().enumerate() {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                let survivors = if si + 1 == slices {
-                    remaining_survivors
-                } else {
-                    ((head.spec.survivors as f64) * keys as f64
-                        / head.spec.context_len.max(1) as f64)
-                        .round() as usize
-                }
-                .min(remaining_survivors)
-                .min(keys);
-                remaining -= keys;
-                remaining_survivors -= survivors;
-                if keys == 0 {
-                    continue;
-                }
+            // The layout's own per-slice seeds go unused: a DCC request keys
+            // its survivor sampling by (request, head, slice).
+            let layout = slice_layout(&head.spec, 0);
+            for (si, (work, &pkg)) in layout.iter().zip(&head.slice_packages).enumerate() {
+                let seed = (self.served << 16) ^ ((hi as u64) << 8) ^ si as u64;
                 let t = time_slice_offload(
                     &self.params,
                     &head.spec,
-                    keys,
-                    survivors,
-                    (self.served << 16) ^ ((hi as u64) << 8) ^ si as u64,
-                );
+                    work.keys,
+                    work.survivors,
+                    seed,
+                    None,
+                )?;
                 let slot = pkg % self.nma_busy.len();
                 let nma = &mut self.nma_busy[slot];
                 let start = nma.max(submitted_ns);
@@ -260,8 +219,8 @@ impl DccSim {
 
         // GPU observes completion via polling, then reads the response.
         let ready_rel = device_done - arrival_ns;
-        let value_read_ns = self.link.transfer_ns(response_bytes);
-        let observed_ns = arrival_ns + self.link.polled_completion_ns(ready_rel) + value_read_ns;
+        let value_read_ns = self.link.transfer_ns(response_bytes, 0);
+        let observed_ns = arrival_ns + self.link.polled_completion_ns(ready_rel, 0) + value_read_ns;
 
         self.served += 1;
         Ok(RequestTiming {
@@ -327,7 +286,7 @@ impl SpecSlotPool {
 
     /// Tries to occupy one slot from `now_ns` for `duration_ns`. Returns
     /// `false` (denied, backpressure) when all slots are busy.
-    pub fn try_issue(&mut self, now_ns: f64, duration_ns: f64) -> bool {
+    pub fn issue(&mut self, now_ns: f64, duration_ns: f64) -> bool {
         if self.in_flight.len() >= self.slots {
             self.denied += 1;
             return false;
@@ -383,7 +342,9 @@ mod tests {
     #[test]
     fn single_request_has_ordered_phases() {
         let mut d = dcc();
-        let t = d.submit(0.0, &[head(32_768, 1_600, vec![0])], 1024, 256 * 1024);
+        let t = d
+            .submit(0.0, &[head(32_768, 1_600, vec![0])], 1024, 256 * 1024)
+            .unwrap();
         assert!(t.submitted_ns > 0.0);
         assert!(t.device_done_ns > t.submitted_ns);
         assert!(t.observed_ns > t.device_done_ns);
@@ -395,11 +356,11 @@ mod tests {
     fn heads_on_distinct_packages_run_in_parallel() {
         let mut serial = dcc();
         let same_pkg: Vec<HeadWork> = (0..4).map(|_| head(65_536, 3_000, vec![0])).collect();
-        let t_serial = serial.submit(0.0, &same_pkg, 1024, 1024);
+        let t_serial = serial.submit(0.0, &same_pkg, 1024, 1024).unwrap();
 
         let mut parallel = dcc();
         let spread: Vec<HeadWork> = (0..4).map(|i| head(65_536, 3_000, vec![i])).collect();
-        let t_parallel = parallel.submit(0.0, &spread, 1024, 1024);
+        let t_parallel = parallel.submit(0.0, &spread, 1024, 1024).unwrap();
 
         assert!(
             t_parallel.device_done_ns < t_serial.device_done_ns,
@@ -413,8 +374,8 @@ mod tests {
     fn back_to_back_requests_queue_on_busy_nmas() {
         let mut d = dcc();
         let w = vec![head(131_072, 6_000, vec![0])];
-        let t1 = d.submit(0.0, &w, 1024, 1024);
-        let t2 = d.submit(0.0, &w, 1024, 1024);
+        let t1 = d.submit(0.0, &w, 1024, 1024).unwrap();
+        let t2 = d.submit(0.0, &w, 1024, 1024).unwrap();
         assert!(
             t2.queue_wait_ns > 0.0,
             "second request must wait for the NMA"
@@ -426,21 +387,38 @@ mod tests {
     fn multi_slice_head_uses_parallel_nmas() {
         let mut d = dcc();
         let big = head(2 * MAX_CONTEXT_SLICE_KEYS, 12_000, vec![0, 1]);
-        let t_par = d.submit(0.0, &[big], 1024, 1024);
+        let t_par = d.submit(0.0, &[big], 1024, 1024).unwrap();
         let mut d2 = dcc();
         let crammed = head(2 * MAX_CONTEXT_SLICE_KEYS, 12_000, vec![0, 0]);
-        let t_ser = d2.submit(0.0, &[crammed], 1024, 1024);
+        let t_ser = d2.submit(0.0, &[crammed], 1024, 1024).unwrap();
         assert!(t_par.device_done_ns < t_ser.device_done_ns);
     }
 
     #[test]
-    fn try_submit_matches_submit() {
-        let mut a = dcc();
-        let mut b = dcc();
-        let w = vec![head(65_536, 3_000, vec![0])];
-        let t1 = a.submit(0.0, &w, 1024, 1024);
-        let t2 = b.try_submit(0.0, &w, 1024, 1024).unwrap();
-        assert_eq!(t1, t2);
+    fn invalid_head_spec_is_a_typed_error() {
+        let mut d = dcc();
+        let mut bad = head(65_536, 3_000, vec![0]);
+        bad.spec.k = d.params().max_k + 1;
+        assert!(matches!(
+            d.submit(0.0, &[bad], 1024, 1024),
+            Err(FaultError::InvalidSpec(_))
+        ));
+        assert_eq!(d.served(), 0);
+    }
+
+    #[test]
+    fn traced_schedule_matches_untraced_and_emits_one_span_per_slice() {
+        let works = [(0, 100.0), (1, 50.0), (0, 25.0)];
+        let mut plain = dcc();
+        let mut traced = dcc();
+        let mut rec = Recorder::enabled();
+        let a = plain.schedule_slices(10.0, &works, None);
+        let b = traced.schedule_slices(10.0, &works, Some((&mut rec, "offload.u0")));
+        assert_eq!(a, b);
+        assert_eq!(a, (135.0, 100.0));
+        let names: Vec<&str> = rec.spans().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["offload.u0"; 3]);
+        rec.validate_well_formed().unwrap();
     }
 
     #[test]
@@ -454,15 +432,15 @@ mod tests {
     #[test]
     fn spec_pool_denies_past_capacity_and_releases_on_completion() {
         let mut pool = SpecSlotPool::new(2);
-        assert!(pool.try_issue(0.0, 100.0));
-        assert!(pool.try_issue(0.0, 200.0));
-        assert!(!pool.try_issue(0.0, 50.0), "third issue must be denied");
+        assert!(pool.issue(0.0, 100.0));
+        assert!(pool.issue(0.0, 200.0));
+        assert!(!pool.issue(0.0, 50.0), "third issue must be denied");
         assert_eq!(pool.occupancy(), 2);
         assert_eq!(pool.denied(), 1);
 
         pool.release_until(150.0); // first chain done at 100
         assert_eq!(pool.occupancy(), 1);
-        assert!(pool.try_issue(150.0, 10.0));
+        assert!(pool.issue(150.0, 10.0));
         assert_eq!(pool.issued(), 3);
         assert_eq!(pool.peak_occupancy(), 2);
     }

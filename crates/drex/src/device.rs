@@ -19,8 +19,7 @@ use longsight_core::{
 };
 use longsight_cxl::CxlLink;
 use longsight_dram::Geometry;
-use longsight_faults::{domain, FaultInjector};
-use longsight_obs::{ArgVal, Recorder};
+use longsight_faults::{domain, FaultError, FaultInjector};
 use longsight_tensor::{quantize_bf16_in_place, vecops, FlatVecs, SignArena, TopK};
 
 /// Errors returned by device operations.
@@ -35,6 +34,9 @@ pub enum DeviceError {
     },
     /// Referenced user was never registered.
     UnknownUser(u32),
+    /// The offload's timing workload is inconsistent (e.g. `k` beyond the
+    /// hardware top-k bound).
+    InvalidOffload(FaultError),
 }
 
 impl std::fmt::Display for DeviceError {
@@ -45,6 +47,7 @@ impl std::fmt::Display for DeviceError {
                 "device capacity exceeded: need {needed} bytes, {available} available"
             ),
             DeviceError::UnknownUser(u) => write!(f, "unknown user id {u}"),
+            DeviceError::InvalidOffload(e) => write!(f, "invalid offload: {e}"),
         }
     }
 }
@@ -245,7 +248,8 @@ impl DrexDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
+    /// Returns [`DeviceError::UnknownUser`] for unregistered users and
+    /// [`DeviceError::InvalidOffload`] when `k` exceeds the hardware bound.
     ///
     /// # Panics
     ///
@@ -271,7 +275,8 @@ impl DrexDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
+    /// Returns [`DeviceError::UnknownUser`] for unregistered users and
+    /// [`DeviceError::InvalidOffload`] when `k` exceeds the hardware bound.
     ///
     /// # Panics
     ///
@@ -429,7 +434,8 @@ impl DrexDevice {
         };
         let timing = self
             .dcc
-            .submit(arrival_ns, &head_work, request.bytes(), response.bytes());
+            .submit(arrival_ns, &head_work, request.bytes(), response.bytes())
+            .map_err(DeviceError::InvalidOffload)?;
         // Completion posted to the user's Response Buffer; the GPU's poll
         // (already folded into `timing.observed_ns`) clears it.
         self.buffers
@@ -441,70 +447,6 @@ impl DrexDevice {
             false_negatives,
             false_positives,
         })
-    }
-
-    /// [`DrexDevice::offload_with_faults`] that also emits the request's
-    /// span tree on a `drex.device` track: the enclosing `drex.request` span
-    /// (descriptor arrival to GPU-observed completion) with `dcc.queue`,
-    /// `nma.head` (critical chain), and `cxl.value_read` children, plus the
-    /// functional corruption counts as span arguments. Recording derives
-    /// entirely from the returned timing, so the outcome is bit-identical to
-    /// the untraced call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
-    pub fn offload_traced(
-        &mut self,
-        request: &RequestDescriptor,
-        k: usize,
-        arrival_ns: f64,
-        inj: &FaultInjector,
-        rec: &mut Recorder,
-    ) -> Result<OffloadOutcome, DeviceError> {
-        let out = self.offload_with_faults(request, k, arrival_ns, inj)?;
-        if rec.is_enabled() {
-            let t = &out.timing;
-            let track = rec.track("drex.device");
-            let span = rec.open_with(
-                track,
-                "drex.request",
-                arrival_ns,
-                &[
-                    ("user", ArgVal::U(u64::from(request.user))),
-                    ("layer", ArgVal::U(u64::from(request.layer))),
-                    ("false_negatives", ArgVal::U(out.false_negatives as u64)),
-                    ("false_positives", ArgVal::U(out.false_positives as u64)),
-                ],
-            );
-            if t.queue_wait_ns > 0.0 {
-                rec.leaf(
-                    track,
-                    "dcc.queue",
-                    t.submitted_ns,
-                    t.submitted_ns + t.queue_wait_ns,
-                );
-            }
-            let chain = t.critical_head.total_ns();
-            rec.leaf_with(
-                track,
-                "nma.head",
-                t.device_done_ns - chain,
-                t.device_done_ns,
-                &[
-                    ("filter_ns", ArgVal::F(t.critical_head.filter_ns)),
-                    ("fetch_score_ns", ArgVal::F(t.critical_head.fetch_score_ns)),
-                ],
-            );
-            rec.leaf(
-                track,
-                "cxl.value_read",
-                t.observed_ns - t.value_read_ns,
-                t.observed_ns,
-            );
-            rec.close(span, t.observed_ns);
-        }
-        Ok(out)
     }
 
     /// Maximum context slice size (re-exported convenience).
@@ -654,6 +596,25 @@ mod tests {
             DeviceError::UnknownUser(9)
         );
         assert!(dev.write_kv_block(3, 0, 0, &[], &[]).is_err());
+    }
+
+    #[test]
+    fn k_beyond_the_hardware_bound_is_an_invalid_offload() {
+        let mut dev = device(0);
+        let mut rng = SimRng::seed_from(5);
+        let u = dev.register_user();
+        fill(&mut dev, u, 64, &mut rng);
+        let q = rng.normal_vec(16);
+        let req = RequestDescriptor {
+            user: u,
+            layer: 0,
+            queries: vec![vec![q.clone()], vec![q]],
+        };
+        let k = DrexParams::paper().max_k + 1;
+        assert!(matches!(
+            dev.offload(&req, k, 0.0),
+            Err(DeviceError::InvalidOffload(FaultError::InvalidSpec(_)))
+        ));
     }
 
     #[test]

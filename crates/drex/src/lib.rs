@@ -3,12 +3,18 @@
 //!
 //! * [`layout`] — Key Blocks, Context Slices, Multi-Layer Context Slices,
 //!   and User Partitions (§7.3), plus capacity planning,
-//! * `offload` — PFU/NMA offload timing driven by the
-//!   LPDDR5X simulator and the paper's RTL constants (§7.4, §8.2),
-//! * [`DccSim`] — the DReX CXL Controller: request queue, NMA scheduling,
-//!   response buffers, polling (§7.2),
+//! * [`time_slice_offload`] / [`time_head_offload`] — PFU/NMA offload
+//!   timing driven by the LPDDR5X simulator and the paper's RTL constants
+//!   (§7.4, §8.2); one function per operation, with tracing as an optional
+//!   argument and inconsistent specs as a typed
+//!   [`FaultError`](longsight_faults::FaultError),
+//! * [`DccSim`] — the DReX CXL Controller: request queue, NMA scheduling
+//!   ([`DccSim::schedule_slices`]), per-request submission
+//!   ([`DccSim::submit`]), response buffers, polling (§7.2),
 //! * [`DrexDevice`] — the functional device: per-head vector databases with
-//!   exact filter → score → rank semantics at BF16 precision,
+//!   exact filter → score → rank semantics at BF16 precision; injected PFU
+//!   bit-flips corrupt its filter decisions, and the corrupted survivor
+//!   union is what [`DccSim::submit`] times,
 //! * [`PowerModel`] — §9.4 power and area figures.
 //!
 //! # Example
@@ -56,10 +62,8 @@ pub use descriptor::{
 pub use device::{DeviceError, DrexDevice, OffloadOutcome};
 pub use id_address::IdAddress;
 pub use offload::{
-    slice_layout, time_head_offload, time_head_offload_injected, time_slice_offload,
-    try_time_slice_offload, try_time_slice_offload_injected, try_time_slice_offload_traced,
-    DrexParams, FaultedHeadTiming, FaultedSliceTiming, HeadOffloadSpec, HeadOffloadTiming,
-    SliceWork,
+    slice_layout, time_head_offload, time_slice_offload, DrexParams, HeadOffloadSpec,
+    HeadOffloadTiming, SliceWork,
 };
 pub use power::PowerModel;
 pub use response_buffers::{BufferError, ResponseBufferTable};

@@ -19,7 +19,7 @@
 use crate::layout::{ContextSlice, MAX_CONTEXT_SLICE_KEYS};
 use crate::spm::SpmConfig;
 use longsight_dram::{ChannelSim, DramTiming, Request};
-use longsight_faults::{domain, FaultError, FaultInjector};
+use longsight_faults::FaultError;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_tensor::SimRng;
 
@@ -104,28 +104,6 @@ impl HeadOffloadTiming {
         self.filter_ns + self.bitmap_ns + self.addr_gen_ns + self.fetch_score_ns + self.topk_ns
     }
 
-    /// Element-wise accumulation (for summing sequential slices).
-    pub fn accumulate(&mut self, other: &HeadOffloadTiming) {
-        self.filter_ns += other.filter_ns;
-        self.bitmap_ns += other.bitmap_ns;
-        self.addr_gen_ns += other.addr_gen_ns;
-        self.fetch_score_ns += other.fetch_score_ns;
-        self.topk_ns += other.topk_ns;
-    }
-
-    /// Uniformly scales every phase by `factor` (a straggling NMA slows its
-    /// whole pipeline: thermal throttling and refresh storms hit filtering,
-    /// fetching, and ranking alike).
-    pub fn scaled(&self, factor: f64) -> HeadOffloadTiming {
-        HeadOffloadTiming {
-            filter_ns: self.filter_ns * factor,
-            bitmap_ns: self.bitmap_ns * factor,
-            addr_gen_ns: self.addr_gen_ns * factor,
-            fetch_score_ns: self.fetch_score_ns * factor,
-            topk_ns: self.topk_ns * factor,
-        }
-    }
-
     /// Element-wise maximum (for parallel slices/heads on different NMAs).
     pub fn max_with(&self, other: &HeadOffloadTiming) -> HeadOffloadTiming {
         // The breakdown of a parallel composition is the breakdown of the
@@ -145,71 +123,34 @@ impl HeadOffloadTiming {
 /// (seeded for reproducibility) — survivor *sparsity* is what drives the
 /// row-hit behaviour the DRAM simulator measures.
 ///
-/// # Panics
-///
-/// Panics if the spec is inconsistent (`survivors > slice_keys`,
-/// `k > max_k`, zero dimensions). Fault-tolerant callers should use
-/// [`try_time_slice_offload`] instead.
-pub fn time_slice_offload(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
-) -> HeadOffloadTiming {
-    match try_time_slice_offload(params, spec, slice_keys, survivors, seed) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`time_slice_offload`] with a typed error path: inconsistent specs come
-/// back as [`FaultError::InvalidSpec`] instead of aborting, so injected
-/// faults and bad inputs propagate as `Result`s through the serving stack.
+/// With `trace = Some((rec, track, start_ns))` the slice's phase spans are
+/// also emitted on `track`, anchored at simulated time `start_ns`: the
+/// serial `pfu.filter → pfu.bitmap → nma.addr_gen → nma.fetch_score →
+/// nma.topk` chain, with the sampled `dram.channel` activity nested inside
+/// the fetch/score phase. Recording only reads the timing, so the returned
+/// numbers are the same with `None`, a disabled recorder or an enabled one.
 ///
 /// # Errors
 ///
 /// Returns [`FaultError::InvalidSpec`] when `survivors > slice_keys`,
 /// `k > max_k`, `head_dim == 0`, or the slice exceeds the hardware slice
 /// bound.
-pub fn try_time_slice_offload(
+pub fn time_slice_offload(
     params: &DrexParams,
     spec: &HeadOffloadSpec,
     slice_keys: usize,
     survivors: usize,
     seed: u64,
+    trace: Option<(&mut Recorder, TrackId, f64)>,
 ) -> Result<HeadOffloadTiming, FaultError> {
-    let mut rec = Recorder::disabled();
-    let track = rec.track("nma");
-    try_time_slice_offload_traced(
-        params, spec, slice_keys, survivors, seed, &mut rec, track, 0.0,
-    )
-}
-
-/// [`try_time_slice_offload`] that also emits the slice's phase spans on
-/// `track`, anchored at simulated time `start_ns`: the serial
-/// `pfu.filter → pfu.bitmap → nma.addr_gen → nma.fetch_score → nma.topk`
-/// chain, with the sampled `dram.channel` activity nested inside the
-/// fetch/score phase. With a disabled recorder this *is*
-/// [`try_time_slice_offload`] — same numbers, no events — which is how the
-/// zero-overhead guarantee holds.
-///
-/// # Errors
-///
-/// Same as [`try_time_slice_offload`].
-// Mirrors `try_time_slice_offload` plus the three tracing inputs; a struct
-// would just relocate the same names.
-#[allow(clippy::too_many_arguments)]
-pub fn try_time_slice_offload_traced(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
-    rec: &mut Recorder,
-    track: TrackId,
-    start_ns: f64,
-) -> Result<HeadOffloadTiming, FaultError> {
+    let mut untraced = Recorder::disabled();
+    let (rec, track, start_ns) = match trace {
+        Some(t) => t,
+        None => {
+            let track = untraced.track("nma");
+            (&mut untraced, track, 0.0)
+        }
+    };
     if spec.head_dim == 0 {
         return Err(FaultError::InvalidSpec("head_dim must be positive".into()));
     }
@@ -385,7 +326,7 @@ pub fn try_time_slice_offload_traced(
 /// position is distinct and in bounds.
 ///
 /// Requires `1 <= sim_survivors <= sim_keys` (guaranteed by the sampling
-/// setup in [`try_time_slice_offload_traced`]).
+/// setup in [`time_slice_offload`]).
 fn survivor_positions(rng: &mut SimRng, sim_keys: usize, sim_survivors: usize) -> Vec<usize> {
     debug_assert!(sim_survivors >= 1 && sim_survivors <= sim_keys);
     let mut positions = Vec::with_capacity(sim_survivors);
@@ -400,80 +341,6 @@ fn survivor_positions(rng: &mut SimRng, sim_keys: usize, sim_survivors: usize) -
         floor = pos + 1;
     }
     positions
-}
-
-/// A slice timing with its injected-fault annotations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultedSliceTiming {
-    /// The (possibly straggler-inflated) phase timing.
-    pub timing: HeadOffloadTiming,
-    /// Whether this slice's NMA straggled.
-    pub straggled: bool,
-    /// True survivors dropped by a corrupted PFU bitmap (recall loss — the
-    /// keys were filtered out and never scored).
-    pub false_negatives: usize,
-    /// Spurious survivors admitted by the corruption (fetched, scored, and
-    /// ranked out — pure time cost, no recall effect).
-    pub false_positives: usize,
-}
-
-/// Times one slice under fault injection.
-///
-/// `event_key` identifies this slice's offload (e.g. mixed from user, head,
-/// and slice index with [`longsight_faults::stream`]); all fault decisions
-/// derive from `(inj.seed, event_key)` alone, so the outcome is identical at
-/// any thread count. Three fault classes apply:
-///
-/// * **PFU bit-flips** corrupt the filter bitmap: dropped true survivors are
-///   reported as `false_negatives` for recall accounting, and spurious
-///   survivors inflate the fetch/score/rank workload. For timing the
-///   spurious keys are *added* to the survivor set (the dropped keys' fetch
-///   savings are negligible at realistic flip fractions and ignoring them
-///   keeps the timing monotone in the bit-flip rate).
-/// * **Stragglers** scale the whole slice pipeline by the profile's
-///   multiplier.
-/// * **Hard timeouts**: when `timeout_ns` is finite and the faulted slice
-///   exceeds it, the slice is killed and [`FaultError::SliceTimeout`] is
-///   returned.
-///
-/// # Errors
-///
-/// [`FaultError::InvalidSpec`] for inconsistent specs,
-/// [`FaultError::SliceTimeout`] when the slice exceeds `timeout_ns`.
-// The argument list mirrors `try_time_slice_offload` plus the three fault
-// inputs; bundling them into a struct would just move the same eight names.
-#[allow(clippy::too_many_arguments)]
-pub fn try_time_slice_offload_injected(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
-    inj: &FaultInjector,
-    event_key: u64,
-    timeout_ns: f64,
-) -> Result<FaultedSliceTiming, FaultError> {
-    let (false_negatives, false_positives) = inj.bitflips(
-        longsight_faults::stream(domain::PFU, event_key, 0, 0),
-        survivors,
-        slice_keys,
-    );
-    let timed_survivors = (survivors + false_positives).min(slice_keys);
-    let base = try_time_slice_offload(params, spec, slice_keys, timed_survivors, seed)?;
-    let mult = inj.straggler_multiplier(longsight_faults::stream(domain::SLICE, event_key, 0, 0));
-    let timing = base.scaled(mult);
-    if timeout_ns.is_finite() && timing.total_ns() > timeout_ns {
-        return Err(FaultError::SliceTimeout {
-            elapsed_ns: timing.total_ns(),
-            timeout_ns,
-        });
-    }
-    Ok(FaultedSliceTiming {
-        timing,
-        straggled: mult > 1.0,
-        false_negatives,
-        false_positives,
-    })
 }
 
 /// One slice's share of a head offload, as produced by [`slice_layout`].
@@ -495,8 +362,8 @@ pub struct SliceWork {
 /// sampling seed from the head seed and its index.
 ///
 /// This is the single source of truth for the slice recurrence —
-/// [`time_head_offload`] and [`time_head_offload_injected`] both lay out
-/// their slices here, so the faulted and plain paths cannot drift.
+/// [`time_head_offload`] and [`DccSim::submit`](crate::DccSim::submit) both
+/// lay out their slices here, so the two head paths cannot drift.
 pub fn slice_layout(spec: &HeadOffloadSpec, seed: u64) -> Vec<SliceWork> {
     if spec.context_len == 0 {
         return Vec::new();
@@ -526,104 +393,42 @@ pub fn slice_layout(spec: &HeadOffloadSpec, seed: u64) -> Vec<SliceWork> {
     layout
 }
 
-/// A head timing with fault annotations aggregated over its slices.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultedHeadTiming {
-    /// Slowest-slice timing (slices run on parallel NMAs) plus the DCC
-    /// top-k merge.
-    pub timing: HeadOffloadTiming,
-    /// Slices whose NMA straggled.
-    pub straggled_slices: usize,
-    /// Total survivors dropped by corrupted bitmaps across slices.
-    pub false_negatives: usize,
-    /// Total spurious survivors admitted across slices.
-    pub false_positives: usize,
-}
-
-/// [`time_head_offload`] under fault injection: every slice is timed with
-/// [`try_time_slice_offload_injected`] on its own event stream (derived from
-/// `event_key` and the slice index), and the head fails if *any* slice times
-/// out — a partial top-k merge is not a valid attention result.
-///
-/// # Errors
-///
-/// Propagates the first slice's [`FaultError`] in slice order (deterministic
-/// regardless of evaluation order).
-pub fn time_head_offload_injected(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    seed: u64,
-    inj: &FaultInjector,
-    event_key: u64,
-    timeout_ns: f64,
-) -> Result<FaultedHeadTiming, FaultError> {
-    if spec.context_len == 0 {
-        return Ok(FaultedHeadTiming::default());
-    }
-    let layout = slice_layout(spec, seed);
-    let slices = layout.len();
-    let timings = longsight_exec::deterministic_map(&layout, |idx, w| {
-        try_time_slice_offload_injected(
-            params,
-            spec,
-            w.keys,
-            w.survivors,
-            w.seed,
-            inj,
-            longsight_faults::stream(domain::SLICE, event_key, idx as u64, 0),
-            timeout_ns,
-        )
-    });
-    let mut agg = FaultedHeadTiming::default();
-    for t in timings {
-        let t = t?;
-        agg.timing = agg.timing.max_with(&t.timing);
-        agg.straggled_slices += usize::from(t.straggled);
-        agg.false_negatives += t.false_negatives;
-        agg.false_positives += t.false_positives;
-    }
-    if slices > 1 {
-        agg.timing.topk_ns +=
-            (slices - 1) as f64 * spec.k.min(params.max_k) as f64 * params.dcc_merge_per_entry_ns;
-    }
-    Ok(agg)
-}
-
 /// Times a full head offload whose region may span several Context Slices.
 ///
 /// Slices live in different packages and execute in parallel on their NMAs
 /// (§7.1: "multiple or all NMAs can work in parallel on a single attention
 /// request"); the head's latency is the slowest slice plus a small DCC merge
 /// of the partial top-k lists.
+///
+/// # Errors
+///
+/// Propagates the first slice's [`FaultError`] in slice order
+/// (deterministic regardless of evaluation order).
 pub fn time_head_offload(
     params: &DrexParams,
     spec: &HeadOffloadSpec,
     seed: u64,
-) -> HeadOffloadTiming {
-    if spec.context_len == 0 {
-        return HeadOffloadTiming::default();
-    }
+) -> Result<HeadOffloadTiming, FaultError> {
     // Lay out each slice's work first ([`slice_layout`] is a cheap
     // sequential recurrence) — then time the slices on the parallel map,
     // mirroring the NMAs that run them concurrently. Folding `max_with` in
     // slice order afterwards reproduces the serial result bit-for-bit (ties
     // keep the earlier slice either way).
     let layout = slice_layout(spec, seed);
-    let slices = layout.len();
     let timings = longsight_exec::deterministic_map(&layout, |_, w| {
-        time_slice_offload(params, spec, w.keys, w.survivors, w.seed)
+        time_slice_offload(params, spec, w.keys, w.survivors, w.seed, None)
     });
     let mut worst = HeadOffloadTiming::default();
-    for t in &timings {
-        worst = worst.max_with(t);
+    for t in timings {
+        worst = worst.max_with(&t?);
     }
     // DCC merge of partial top-k lists: k entries per extra slice, pipelined.
-    let mut result = worst;
-    if slices > 1 {
-        result.topk_ns +=
-            (slices - 1) as f64 * spec.k.min(params.max_k) as f64 * params.dcc_merge_per_entry_ns;
+    if layout.len() > 1 {
+        worst.topk_ns += (layout.len() - 1) as f64
+            * spec.k.min(params.max_k) as f64
+            * params.dcc_merge_per_entry_ns;
     }
-    result
+    Ok(worst)
 }
 
 #[cfg(test)]
@@ -644,7 +449,7 @@ mod tests {
     fn filter_time_matches_rtl_constant() {
         let p = DrexParams::paper();
         // One epoch, ≤16 queries: d × 1.25 ns.
-        let t = time_slice_offload(&p, &spec(1024, 0), 1024, 0, 1);
+        let t = time_slice_offload(&p, &spec(1024, 0), 1024, 0, 1, None).unwrap();
         assert!((t.filter_ns - 128.0 * 1.25).abs() < 1e-9);
         assert_eq!(t.fetch_score_ns, 0.0);
     }
@@ -652,8 +457,8 @@ mod tests {
     #[test]
     fn more_survivors_cost_more_fetch_time() {
         let p = DrexParams::paper();
-        let few = time_slice_offload(&p, &spec(65_536, 1_000), 65_536, 1_000, 2);
-        let many = time_slice_offload(&p, &spec(65_536, 20_000), 65_536, 20_000, 2);
+        let few = time_slice_offload(&p, &spec(65_536, 1_000), 65_536, 1_000, 2, None).unwrap();
+        let many = time_slice_offload(&p, &spec(65_536, 20_000), 65_536, 20_000, 2, None).unwrap();
         assert!(many.fetch_score_ns > few.fetch_score_ns);
         assert!(many.total_ns() > few.total_ns());
     }
@@ -663,7 +468,7 @@ mod tests {
         let p = DrexParams::paper();
         // All 65,536 keys survive: 16 MiB of keys over 8 × 17 GB/s.
         let keys = 65_536;
-        let t = time_slice_offload(&p, &spec(keys, keys), keys, keys, 3);
+        let t = time_slice_offload(&p, &spec(keys, keys), keys, keys, 3, None).unwrap();
         let bytes = keys as f64 * 256.0;
         let ideal_ns = bytes / (8.0 * p.dram.channel_bandwidth_gbps());
         assert!(
@@ -683,9 +488,9 @@ mod tests {
         let p = DrexParams::paper();
         // 4 slices worth of context with uniform survivors.
         let big = spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000);
-        let t_big = time_head_offload(&p, &big, 4);
+        let t_big = time_head_offload(&p, &big, 4).unwrap();
         let small = spec(MAX_CONTEXT_SLICE_KEYS, 10_000);
-        let t_small = time_head_offload(&p, &small, 4);
+        let t_small = time_head_offload(&p, &small, 4).unwrap();
         // Parallel slices: the 4× context costs roughly one slice's time
         // (plus merge), NOT 4×.
         assert!(
@@ -702,8 +507,8 @@ mod tests {
         // length" (given the 20× filter ratio, survivors scale linearly but
         // the per-epoch overheads amortize).
         let p = DrexParams::paper();
-        let t1 = time_head_offload(&p, &spec(32_768, 32_768 / 20), 7);
-        let t4 = time_head_offload(&p, &spec(4 * 32_768, 4 * 32_768 / 20), 7);
+        let t1 = time_head_offload(&p, &spec(32_768, 32_768 / 20), 7).unwrap();
+        let t4 = time_head_offload(&p, &spec(4 * 32_768, 4 * 32_768 / 20), 7).unwrap();
         assert!(t4.total_ns() < 4.0 * t1.total_ns());
         assert!(t4.total_ns() > t1.total_ns());
     }
@@ -713,162 +518,66 @@ mod tests {
         let p = DrexParams::paper();
         let mut s = spec(1024, 0);
         s.queries = 32; // two PFU passes
-        let t = time_slice_offload(&p, &s, 1024, 0, 8);
+        let t = time_slice_offload(&p, &s, 1024, 0, 8, None).unwrap();
         assert!((t.filter_ns - 2.0 * 128.0 * 1.25).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "more survivors than keys")]
-    fn inconsistent_survivors_panic() {
-        let p = DrexParams::paper();
-        let _ = time_slice_offload(&p, &spec(100, 200), 100, 200, 9);
-    }
-
-    #[test]
-    fn try_variant_reports_typed_errors() {
+    fn inconsistent_specs_are_typed_errors() {
         let p = DrexParams::paper();
         assert!(matches!(
-            try_time_slice_offload(&p, &spec(100, 200), 100, 200, 9),
+            time_slice_offload(&p, &spec(100, 200), 100, 200, 9, None),
             Err(FaultError::InvalidSpec(m)) if m == "more survivors than keys"
         ));
         let mut bad_k = spec(1024, 100);
         bad_k.k = p.max_k + 1;
         assert!(matches!(
-            try_time_slice_offload(&p, &bad_k, 1024, 100, 9),
+            time_slice_offload(&p, &bad_k, 1024, 100, 9, None),
             Err(FaultError::InvalidSpec(_))
         ));
-        let ok = try_time_slice_offload(&p, &spec(1024, 100), 1024, 100, 9).unwrap();
-        assert_eq!(ok, time_slice_offload(&p, &spec(1024, 100), 1024, 100, 9));
+        assert!(time_head_offload(&p, &bad_k, 9).is_err());
     }
 
     #[test]
-    fn disabled_injector_reproduces_plain_timing() {
-        let p = DrexParams::paper();
-        let off = FaultInjector::disabled();
-        let plain = time_slice_offload(&p, &spec(65_536, 3_000), 65_536, 3_000, 4);
-        let injected = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &off,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert_eq!(injected.timing, plain);
-        assert!(!injected.straggled);
-        assert_eq!((injected.false_negatives, injected.false_positives), (0, 0));
-        let head_plain = time_head_offload(&p, &spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000), 4);
-        let head_injected = time_head_offload_injected(
-            &p,
-            &spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000),
-            4,
-            &off,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert_eq!(head_injected.timing, head_plain);
-    }
-
-    #[test]
-    fn stragglers_scale_the_slice_and_timeouts_kill_it() {
-        let p = DrexParams::paper();
-        let inj = FaultInjector::new(
-            longsight_faults::FaultProfile {
-                straggler_rate: 1.0,
-                straggler_multiplier: 4.0,
-                ..longsight_faults::FaultProfile::disabled()
-            },
-            7,
-        );
-        let plain = time_slice_offload(&p, &spec(65_536, 3_000), 65_536, 3_000, 4);
-        let faulted = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &inj,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert!(faulted.straggled);
-        assert!((faulted.timing.total_ns() - 4.0 * plain.total_ns()).abs() < 1e-6);
-        // The 4x-slowed slice misses a timeout set just above the nominal.
-        let err = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &inj,
-            99,
-            plain.total_ns() * 1.5,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaultError::SliceTimeout { .. }));
-    }
-
-    #[test]
-    fn injected_timing_is_monotone_in_fault_rate() {
+    fn traced_timing_matches_untraced_and_emits_the_phase_chain() {
         let p = DrexParams::paper();
         let s = spec(65_536, 3_000);
-        for stream_key in 0..32u64 {
-            let mut prev = 0.0f64;
-            for rate in [0.0, 0.05, 0.2, 0.8] {
-                let inj = FaultInjector::new(longsight_faults::FaultProfile::scaled(rate), 13);
-                let t = try_time_slice_offload_injected(
-                    &p,
-                    &s,
-                    65_536,
-                    3_000,
-                    4,
-                    &inj,
-                    stream_key,
-                    f64::INFINITY,
-                )
-                .unwrap();
-                assert!(
-                    t.timing.total_ns() >= prev - 1e-9,
-                    "stream {stream_key}: rate {rate} got cheaper"
-                );
-                prev = t.timing.total_ns();
-            }
-        }
-    }
+        let plain = time_slice_offload(&p, &s, 65_536, 3_000, 4, None).unwrap();
+        let mut off = Recorder::disabled();
+        let track = off.track("nma");
+        let quiet = time_slice_offload(&p, &s, 65_536, 3_000, 4, Some((&mut off, track, 7.0)));
+        assert_eq!(quiet.unwrap(), plain);
+        assert!(off.spans().is_empty());
 
-    #[test]
-    fn bitflips_surface_in_head_aggregation() {
-        let p = DrexParams::paper();
-        let inj = FaultInjector::new(
-            longsight_faults::FaultProfile {
-                bitflip_rate: 1.0,
-                bitflip_flip_fraction: 0.01,
-                ..longsight_faults::FaultProfile::disabled()
-            },
-            3,
+        let mut rec = Recorder::enabled();
+        let track = rec.track("nma");
+        let traced = time_slice_offload(&p, &s, 65_536, 3_000, 4, Some((&mut rec, track, 7.0)));
+        assert_eq!(traced.unwrap(), plain);
+        let chain: Vec<&str> = rec
+            .spans()
+            .iter()
+            .filter(|sp| sp.track == track && sp.parent.is_none())
+            .map(|sp| sp.name.as_str())
+            .collect();
+        assert_eq!(
+            chain,
+            [
+                "pfu.filter",
+                "pfu.bitmap",
+                "nma.addr_gen",
+                "nma.fetch_score",
+                "nma.topk"
+            ]
         );
-        let agg = time_head_offload_injected(
-            &p,
-            &spec(2 * MAX_CONTEXT_SLICE_KEYS, 20_000),
-            4,
-            &inj,
-            5,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert!(agg.false_negatives > 0, "every slice corrupts at rate 1");
-        assert!(agg.false_positives > agg.false_negatives);
+        let last = rec.spans().iter().rfind(|sp| sp.track == track).unwrap();
+        assert!((last.end_ns - (7.0 + plain.total_ns())).abs() < 1e-6);
+        rec.validate_well_formed().unwrap();
     }
 
     #[test]
     fn empty_context_is_free() {
         let p = DrexParams::paper();
-        let t = time_head_offload(&p, &spec(0, 0), 10);
+        let t = time_head_offload(&p, &spec(0, 0), 10).unwrap();
         assert_eq!(t.total_ns(), 0.0);
     }
 
@@ -947,35 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_injected_paths_share_one_slice_layout() {
-        // With a disabled injector the faulted head path must time the exact
-        // same per-slice work as the plain path — layout drift between the
-        // two recurrences is what the shared helper rules out.
-        let p = DrexParams::paper();
-        let off = FaultInjector::disabled();
-        for context in [
-            MAX_CONTEXT_SLICE_KEYS - 5,
-            2 * MAX_CONTEXT_SLICE_KEYS + 123,
-            5 * MAX_CONTEXT_SLICE_KEYS,
-        ] {
-            let s = spec(context, context / 20);
-            let plain = time_head_offload(&p, &s, 42);
-            let injected = time_head_offload_injected(&p, &s, 42, &off, 7, f64::INFINITY).unwrap();
-            assert_eq!(injected.timing, plain, "context {context}");
-        }
-    }
-
-    #[test]
     fn dcc_merge_cost_scales_with_the_param() {
         let mut p = DrexParams::paper();
         let s = spec(3 * MAX_CONTEXT_SLICE_KEYS, 30_000);
-        let base = time_head_offload(&p, &s, 4);
+        let base = time_head_offload(&p, &s, 4).unwrap();
         p.dcc_merge_per_entry_ns = 0.5;
-        let doubled = time_head_offload(&p, &s, 4);
+        let doubled = time_head_offload(&p, &s, 4).unwrap();
         let extra = 2.0 * s.k as f64 * 0.25; // (slices−1) × k × Δcost
         assert!((doubled.topk_ns - base.topk_ns - extra).abs() < 1e-9);
-        let off = FaultInjector::disabled();
-        let injected = time_head_offload_injected(&p, &s, 4, &off, 7, f64::INFINITY).unwrap();
-        assert_eq!(injected.timing, doubled);
     }
 }

@@ -40,7 +40,7 @@ pub fn time_kv_block_write(
     head_dim: usize,
 ) -> KvWriteTiming {
     let bytes = ObjectFootprint::for_keys(block_keys, head_dim).total();
-    let cxl_ns = link.transfer_ns(bytes);
+    let cxl_ns = link.transfer_ns(bytes, 0);
 
     let bursts_total = bytes.div_ceil(dram.burst_bytes);
     let per_channel = bursts_total.div_ceil(8);

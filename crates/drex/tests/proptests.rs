@@ -61,8 +61,8 @@ fn offload_time_monotone_in_survivors() {
         let sa = ((keys as f64) * frac_a) as usize;
         let sb = (((keys as f64) * (frac_a + extra)) as usize).min(keys);
         let p = DrexParams::paper();
-        let ta = time_head_offload(&p, &spec(sa), 1);
-        let tb = time_head_offload(&p, &spec(sb), 1);
+        let ta = time_head_offload(&p, &spec(sa), 1).unwrap();
+        let tb = time_head_offload(&p, &spec(sb), 1).unwrap();
         prop_ensure!(
             tb.total_ns() >= ta.total_ns() * 0.95,
             "more survivors should not get meaningfully faster: {} vs {}",
@@ -83,7 +83,7 @@ fn dcc_scheduling_is_work_conserving() {
             .enumerate()
             .map(|(i, &d)| (i % 8, d))
             .collect();
-        let (done, _) = dcc.schedule_slices(0.0, &slices);
+        let (done, _) = dcc.schedule_slices(0.0, &slices, None);
         let total: f64 = durations.iter().sum();
         let max: f64 = durations.iter().cloned().fold(0.0, f64::max);
         // Makespan bounds: at least max(longest job, total/8), at most total.
@@ -166,7 +166,7 @@ fn dcc_submit_orders_phases() {
             },
             slice_packages: (0..slices).collect(),
         };
-        let t = dcc.submit(5_000.0, &[work], 512, 4096);
+        let t = dcc.submit(5_000.0, &[work], 512, 4096).unwrap();
         prop_ensure!(t.submitted_ns >= 5_000.0);
         prop_ensure!(t.device_done_ns >= t.submitted_ns);
         prop_ensure!(t.observed_ns > t.device_done_ns);

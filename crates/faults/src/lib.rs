@@ -21,7 +21,7 @@
 //! [`FaultProfile`] (rates), [`RetryPolicy`] (deadline/backoff),
 //! [`FaultInjector`] (sampling), [`FaultEvent`]/[`FaultLog`] (the replayable
 //! timeline), and [`FaultError`] (the typed error model that replaces
-//! panic-on-bad-input in the offload and serving hot paths).
+//! panic-on-bad-input in the offload timing paths).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,7 @@ pub mod domain {
     pub const LINK: u64 = 1;
     /// Per-slice NMA execution (straggler multipliers).
     pub const SLICE: u64 = 2;
-    /// Per-slice PFU filtering (bitmap bit-flips).
+    /// Per-head PFU filtering in the functional device (bitmap bit-flips).
     pub const PFU: u64 = 3;
     /// Per-slice hard timeouts.
     pub const TIMEOUT: u64 = 4;
@@ -256,34 +256,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Typed errors raised by fault-injected offload paths (replacing the
-/// former panic-on-bad-input style in the hot paths).
-#[derive(Debug, Clone, PartialEq)]
+/// Typed error of the offload timing paths (replacing the former
+/// panic-on-bad-input style in the hot paths).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultError {
-    /// A slice exceeded its hard execution timeout.
-    SliceTimeout {
-        /// Time the slice had accrued when it was killed, ns.
-        elapsed_ns: f64,
-        /// The configured timeout, ns.
-        timeout_ns: f64,
-    },
-    /// A request's offload attempt missed the per-request deadline.
-    DeadlineExceeded {
-        /// Time the attempt had accrued, ns.
-        elapsed_ns: f64,
-        /// The configured deadline, ns.
-        deadline_ns: f64,
-    },
-    /// Bounded retries were exhausted; the caller must degrade.
-    RetriesExhausted {
-        /// Attempts made (initial + retries).
-        attempts: u32,
-    },
-    /// The DCC request queue would overflow.
-    QueueOverflow {
-        /// Hardware queue depth.
-        depth: usize,
-    },
     /// A workload specification is inconsistent (formerly a panic).
     InvalidSpec(String),
 }
@@ -291,23 +267,6 @@ pub enum FaultError {
 impl std::fmt::Display for FaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FaultError::SliceTimeout {
-                elapsed_ns,
-                timeout_ns,
-            } => write!(f, "slice timeout: {elapsed_ns:.0} ns > {timeout_ns:.0} ns"),
-            FaultError::DeadlineExceeded {
-                elapsed_ns,
-                deadline_ns,
-            } => write!(
-                f,
-                "offload deadline exceeded: {elapsed_ns:.0} ns > {deadline_ns:.0} ns"
-            ),
-            FaultError::RetriesExhausted { attempts } => {
-                write!(f, "retries exhausted after {attempts} attempts")
-            }
-            FaultError::QueueOverflow { depth } => {
-                write!(f, "DCC request queue overflow (depth {depth})")
-            }
             FaultError::InvalidSpec(msg) => write!(f, "{msg}"),
         }
     }
@@ -615,20 +574,6 @@ impl FaultInjector {
         } else {
             1.0
         }
-    }
-
-    /// PFU bitmap corruption for a slice on `stream`: given the slice's
-    /// survivor count and total keys, returns `(false_negatives,
-    /// false_positives)` — zero when the slice is clean.
-    pub fn bitflips(&self, stream: u64, survivors: usize, keys: usize) -> (usize, usize) {
-        if self.profile.bitflip_rate <= 0.0 || self.uniform(stream, 0) >= self.profile.bitflip_rate
-        {
-            return (0, 0);
-        }
-        let frac = self.profile.bitflip_flip_fraction.clamp(0.0, 1.0);
-        let false_neg = ((survivors as f64) * frac).round() as usize;
-        let false_pos = ((keys.saturating_sub(survivors) as f64) * frac).round() as usize;
-        (false_neg.min(survivors), false_pos)
     }
 
     /// Whether the offload attempt `attempt` of the token on `stream` hits
@@ -948,7 +893,6 @@ mod tests {
         for s in 0..1000u64 {
             assert_eq!(inj.link_replays(s), 0);
             assert_eq!(inj.straggler_multiplier(s), 1.0);
-            assert_eq!(inj.bitflips(s, 100, 1000), (0, 0));
             assert!(!inj.attempt_times_out(s, 0));
             assert!(!inj.hard_fails(s));
         }
@@ -1004,23 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn bitflips_scale_with_population() {
-        let inj = FaultInjector::new(
-            FaultProfile {
-                bitflip_rate: 1.0,
-                bitflip_flip_fraction: 0.01,
-                ..FaultProfile::disabled()
-            },
-            5,
-        );
-        let (fneg, fpos) = inj.bitflips(0, 1000, 65_536);
-        assert_eq!(fneg, 10);
-        assert_eq!(fpos, 645);
-        // No survivors → nothing to drop.
-        assert_eq!(inj.bitflips(0, 0, 65_536).0, 0);
-    }
-
-    #[test]
     fn profile_parsing_accepts_names_and_rates() {
         assert_eq!(
             FaultProfile::parse("none").unwrap(),
@@ -1073,17 +1000,6 @@ mod tests {
 
     #[test]
     fn fault_errors_render_useful_messages() {
-        let e = FaultError::SliceTimeout {
-            elapsed_ns: 5000.0,
-            timeout_ns: 1000.0,
-        };
-        assert!(e.to_string().contains("slice timeout"));
-        assert!(FaultError::RetriesExhausted { attempts: 3 }
-            .to_string()
-            .contains("3 attempts"));
-        assert!(FaultError::QueueOverflow { depth: 512 }
-            .to_string()
-            .contains("512"));
         assert_eq!(
             FaultError::InvalidSpec("more survivors than keys".into()).to_string(),
             "more survivors than keys"

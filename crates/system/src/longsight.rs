@@ -17,15 +17,14 @@ use longsight_cxl::CxlLink;
 use longsight_dram::Geometry;
 use longsight_drex::layout::{self, MAX_CONTEXT_SLICE_KEYS};
 use longsight_drex::{
-    time_slice_offload, try_time_slice_offload_traced, DccSim, DrexParams, HeadOffloadSpec,
-    HeadOffloadTiming, REQUEST_QUEUE_DEPTH,
+    time_slice_offload, DccSim, DrexParams, HeadOffloadSpec, HeadOffloadTiming, REQUEST_QUEUE_DEPTH,
 };
 use longsight_faults::{
     domain, stream, FaultInjector, FaultKind, FaultLog, FaultProfile, RetryPolicy,
 };
 use longsight_gpu::{decode_step, GpuSpec};
 use longsight_model::ModelConfig;
-use longsight_obs::{ArgVal, Recorder};
+use longsight_obs::{ArgVal, Recorder, TrackId};
 
 /// Configuration of a LongSight deployment: one GPU + one DReX unit.
 #[derive(Debug, Clone)]
@@ -141,7 +140,7 @@ impl LookaheadConfig {
 }
 
 /// Detailed timing of one DReX offload under load (drives Fig 8).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OffloadProfile {
     /// PFU filtering, ns.
     pub filter_ns: f64,
@@ -216,6 +215,10 @@ pub struct IssuedLayer {
     pub slices: usize,
     /// Device-phase timing of the critical (full-size) slice chain.
     pub chain: HeadOffloadTiming,
+    /// Device time of each head's last Context Slice, ns: the remainder
+    /// slice when the region does not fill whole slices, else the same as
+    /// `chain.total_ns()`.
+    pub last_slice_ns: f64,
 }
 
 /// One layer's offload timing under fault injection, with the degradation
@@ -256,6 +259,57 @@ impl LongSightSystem {
         context.saturating_sub(self.config.hybrid.window + self.config.hybrid.sinks)
     }
 
+    /// Request Descriptor size: a header plus one BF16 query per Q head.
+    fn descriptor_bytes(&self) -> usize {
+        8 + self.model.q_heads * self.model.head_dim * 2
+    }
+
+    /// Response Descriptor size: "a list of 1,024 × H top Keys and Values"
+    /// (§7.3.1) — k entries per KV head, shared by the GQA group.
+    fn response_bytes(&self, region: usize) -> usize {
+        let d = self.model.head_dim;
+        self.model.kv_heads * self.config.hybrid.top_k.min(region) * (d * 2 + 8)
+    }
+
+    /// Times one Context Slice of this deployment's head workload (see
+    /// [`time_slice_offload`]; `trace` is passed through).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configured `top_k` exceeds the DReX hardware top-k
+    /// bound; the rest of the spec is consistent by construction.
+    fn time_slice(
+        &self,
+        spec: &HeadOffloadSpec,
+        keys: usize,
+        survivors: usize,
+        seed: u64,
+        trace: Option<(&mut Recorder, TrackId, f64)>,
+    ) -> HeadOffloadTiming {
+        time_slice_offload(&self.config.drex, spec, keys, survivors, seed, trace)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// One user's slice workloads for the NMA pool, head-major: a
+    /// `(package, duration_ns(head, slice))` pair for every Context Slice of
+    /// every KV head, spread round-robin over the packages.
+    fn user_slices(
+        &self,
+        user: usize,
+        slices: usize,
+        mut duration_ns: impl FnMut(usize, usize) -> f64,
+    ) -> Vec<(usize, f64)> {
+        let kv = self.model.kv_heads;
+        let packages = self.config.geometry.packages;
+        let mut works = Vec::with_capacity(kv * slices);
+        for h in 0..kv {
+            for s in 0..slices {
+                works.push(((user * kv + h + s * kv) % packages, duration_ns(h, s)));
+            }
+        }
+        works
+    }
+
     /// Times one layer's DReX offloads for a batch and returns
     /// `(last-user observed completion ns, profile of the last user)`.
     pub fn drex_layer(&self, users: usize, context: usize) -> (f64, OffloadProfile) {
@@ -280,18 +334,7 @@ impl LongSightSystem {
     ) -> (f64, OffloadProfile) {
         match self.drex_layer_issue(users, context, rec, anchor_ns) {
             Some(issued) => self.drex_layer_complete(&issued, rec, anchor_ns),
-            None => (
-                0.0,
-                OffloadProfile {
-                    filter_ns: 0.0,
-                    bitmap_ns: 0.0,
-                    addr_gen_ns: 0.0,
-                    fetch_score_ns: 0.0,
-                    topk_ns: 0.0,
-                    queue_wait_ns: 0.0,
-                    value_cxl_ns: 0.0,
-                },
-            ),
+            None => (0.0, OffloadProfile::default()),
         }
     }
 
@@ -314,11 +357,6 @@ impl LongSightSystem {
     ) -> Option<IssuedLayer> {
         let cfg = &self.config;
         let region = self.region(context);
-        let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let k = cfg.hybrid.top_k;
-        let group = self.model.group_size();
-
         if region == 0 || users == 0 {
             return None;
         }
@@ -326,9 +364,9 @@ impl LongSightSystem {
         let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
         let spec = HeadOffloadSpec {
             context_len: region,
-            head_dim: d,
-            queries: group,
-            k: k.min(region),
+            head_dim: self.model.head_dim,
+            queries: self.model.group_size(),
+            k: cfg.hybrid.top_k.min(region),
             survivors: survivors_total,
         };
 
@@ -337,50 +375,33 @@ impl LongSightSystem {
         let full_keys = region.min(MAX_CONTEXT_SLICE_KEYS);
         let rem_keys = region - (slices - 1) * MAX_CONTEXT_SLICE_KEYS;
         let surv = |keys: usize| -> usize {
-            ((survivors_total as f64) * keys as f64 / region as f64).round() as usize
+            (((survivors_total as f64) * keys as f64 / region as f64).round() as usize).min(keys)
         };
         // The full and remainder shapes are independent seeded simulations,
         // so they time concurrently; each call returns exactly what a serial
         // call with the same (shape, seed) returns.
         let slice_timings = if rem_keys == full_keys {
-            vec![time_slice_offload(
-                &cfg.drex,
-                &spec,
-                full_keys,
-                surv(full_keys).min(full_keys),
-                17,
-            )]
+            vec![self.time_slice(&spec, full_keys, surv(full_keys), 17, None)]
         } else {
             let shapes = [(full_keys, 17u64), (rem_keys, 18u64)];
             longsight_exec::deterministic_map(&shapes, |_, &(keys, seed)| {
-                time_slice_offload(&cfg.drex, &spec, keys, surv(keys).min(keys), seed)
+                self.time_slice(&spec, keys, surv(keys), seed, None)
             })
         };
-        let t_full = slice_timings[0].total_ns();
-        let t_rem = slice_timings.last().expect("non-empty").total_ns();
+        let chain = slice_timings[0];
+        let t_full = chain.total_ns();
+        let t_rem = slice_timings[slice_timings.len() - 1].total_ns();
 
         // Schedule every user's slices on the NMA pool.
         let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
-        // Response Descriptor: "a list of 1,024 × H top Keys and Values"
-        // (§7.3.1) — k entries per KV head, shared by the GQA group.
-        let response_bytes = kv * k.min(region) * (d * 2 + 8);
+        let submit = cfg.link.descriptor_submit_ns(self.descriptor_bytes());
 
         if rec.is_enabled() {
             // Phase detail of the critical (full-size) slice, anchored where
             // NMA work begins — after the descriptor submit.
             let nma_track = rec.track("nma.critical");
-            let _ = try_time_slice_offload_traced(
-                &cfg.drex,
-                &spec,
-                full_keys,
-                surv(full_keys).min(full_keys),
-                17,
-                rec,
-                nma_track,
-                anchor_ns + submit,
-            );
+            let trace = Some((&mut *rec, nma_track, anchor_ns + submit));
+            self.time_slice(&spec, full_keys, surv(full_keys), 17, trace);
         }
         // Shadow scheduler for span emission at absolute sim time: the busy
         // timeline is shift-invariant, so replaying the identical schedule
@@ -392,18 +413,15 @@ impl LongSightSystem {
         let mut last_done = 0.0f64;
         let mut last_wait = 0.0f64;
         for u in 0..users {
-            let mut works = Vec::with_capacity(kv * slices);
-            for h in 0..kv {
-                for s in 0..slices {
-                    let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                    let dur = if s + 1 == slices { t_rem } else { t_full };
-                    works.push((pkg, dur));
-                }
-            }
-            let (done, wait) = dcc.schedule_slices(submit, &works);
+            let works = self.user_slices(
+                u,
+                slices,
+                |_, s| if s + 1 == slices { t_rem } else { t_full },
+            );
+            let (done, wait) = dcc.schedule_slices(submit, &works, None);
             if let Some(sh) = shadow.as_mut() {
                 let label = format!("offload.u{u}");
-                sh.schedule_slices_traced(anchor_ns + submit, &works, rec, &label);
+                sh.schedule_slices(anchor_ns + submit, &works, Some((&mut *rec, &label)));
             }
             if done >= last_done {
                 last_done = done;
@@ -415,10 +433,11 @@ impl LongSightSystem {
             ready_rel_ns: last_done,
             queue_wait_ns: last_wait + submit,
             submit_ns: submit,
-            response_bytes,
+            response_bytes: self.response_bytes(region),
             users,
             slices,
-            chain: slice_timings[0],
+            chain,
+            last_slice_ns: t_rem,
         })
     }
 
@@ -434,17 +453,20 @@ impl LongSightSystem {
     ) -> (f64, OffloadProfile) {
         let cfg = &self.config;
         let ready_rel = issued.ready_rel_ns;
-        let value_cxl = cfg.link.polled_completion_ns(ready_rel) - ready_rel
-            + cfg.link.transfer_ns(issued.response_bytes);
+        let polled = cfg.link.polled_completion_ns(ready_rel, 0);
+        let transfer = cfg.link.transfer_ns(issued.response_bytes, 0);
+        let value_cxl = polled - ready_rel + transfer;
         let observed = ready_rel + value_cxl;
 
         if rec.is_enabled() {
             let cxl_track = rec.track("cxl");
-            let desc_bytes = 8 + self.model.q_heads * self.model.head_dim * 2;
-            let _ = cfg
-                .link
-                .descriptor_submit_ns_traced(desc_bytes, rec, cxl_track, anchor_ns);
-            let polled = cfg.link.polled_completion_ns(ready_rel);
+            rec.leaf_with(
+                cxl_track,
+                "cxl.submit",
+                anchor_ns,
+                anchor_ns + issued.submit_ns,
+                &[("bytes", ArgVal::U(self.descriptor_bytes() as u64))],
+            );
             rec.leaf_with(
                 cxl_track,
                 "cxl.poll",
@@ -452,12 +474,15 @@ impl LongSightSystem {
                 anchor_ns + polled,
                 &[("ready_at_ns", ArgVal::F(ready_rel))],
             );
-            let _ = cfg.link.transfer_ns_traced(
-                issued.response_bytes,
-                0,
-                rec,
+            rec.leaf_with(
                 cxl_track,
+                "cxl.transfer",
                 anchor_ns + polled,
+                anchor_ns + polled + transfer,
+                &[
+                    ("bytes", ArgVal::U(issued.response_bytes as u64)),
+                    ("replays", ArgVal::U(0)),
+                ],
             );
             let drex_track = rec.track("drex");
             rec.leaf_with(
@@ -508,7 +533,12 @@ impl LongSightSystem {
         let cfg = &self.config;
         let inj = FaultInjector::new(cfg.faults.clone(), cfg.fault_seed);
         let retry = cfg.retry;
-        let (clean_ns, profile) = self.drex_layer(users, context);
+        let mut rec = Recorder::disabled();
+        let issued = self.drex_layer_issue(users, context, &mut rec, 0.0);
+        let (clean_ns, profile) = match &issued {
+            Some(issued) => self.drex_layer_complete(issued, &mut rec, 0.0),
+            None => (0.0, OffloadProfile::default()),
+        };
         let mut report = FaultedLayerReport {
             layer_ns: clean_ns,
             profile,
@@ -517,46 +547,16 @@ impl LongSightSystem {
             replay_rounds: 0,
             straggled_slices: 0,
         };
-        if !inj.is_enabled() || users == 0 || self.region(context) == 0 {
+        let Some(issued) = issued.filter(|_| inj.is_enabled()) else {
             return report;
-        }
+        };
 
-        let region = self.region(context);
-        let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let k = cfg.hybrid.top_k;
-        let group = self.model.group_size();
-        let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-        let spec = HeadOffloadSpec {
-            context_len: region,
-            head_dim: d,
-            queries: group,
-            k: k.min(region),
-            survivors: survivors_total,
-        };
-        let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-        let full_keys = region.min(MAX_CONTEXT_SLICE_KEYS);
-        let rem_keys = region - (slices - 1) * MAX_CONTEXT_SLICE_KEYS;
-        let surv = |keys: usize| -> usize {
-            ((survivors_total as f64) * keys as f64 / region as f64).round() as usize
-        };
-        let t_full = time_slice_offload(
-            &cfg.drex,
-            &spec,
-            full_keys,
-            surv(full_keys).min(full_keys),
-            17,
-        )
-        .total_ns();
-        let t_rem = if rem_keys == full_keys {
-            t_full
-        } else {
-            time_slice_offload(&cfg.drex, &spec, rem_keys, surv(rem_keys).min(rem_keys), 18)
-                .total_ns()
-        };
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
-        let response_bytes = kv * k.min(region) * (d * 2 + 8);
+        // Every retry round replays the slice times the clean issue measured.
+        let slices = issued.slices;
+        let t_full = issued.chain.total_ns();
+        let t_rem = issued.last_slice_ns;
+        let submit = issued.submit_ns;
+        let response_bytes = issued.response_bytes;
 
         let mut elapsed = vec![0.0f64; users];
         let mut resolved = vec![false; users];
@@ -569,36 +569,32 @@ impl LongSightSystem {
             let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
             let mut observed = vec![0.0f64; users];
             for (u, obs) in observed.iter_mut().enumerate() {
-                let mut works = Vec::with_capacity(kv * slices);
-                for h in 0..kv {
-                    for s in 0..slices {
-                        let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                        let base = if s + 1 == slices { t_rem } else { t_full };
-                        let key = stream(
-                            domain::SLICE,
-                            u as u64,
-                            (h * slices + s) as u64,
-                            attempt as u64,
-                        );
-                        let mult = inj.straggler_multiplier(key);
-                        if mult > 1.0 && !resolved[u] {
-                            report
-                                .log
-                                .push(key, FaultKind::Straggler { multiplier: mult });
-                            report.straggled_slices += 1;
-                        }
-                        works.push((pkg, base * mult));
+                let works = self.user_slices(u, slices, |h, s| {
+                    let base = if s + 1 == slices { t_rem } else { t_full };
+                    let key = stream(
+                        domain::SLICE,
+                        u as u64,
+                        (h * slices + s) as u64,
+                        attempt as u64,
+                    );
+                    let mult = inj.straggler_multiplier(key);
+                    if mult > 1.0 && !resolved[u] {
+                        report
+                            .log
+                            .push(key, FaultKind::Straggler { multiplier: mult });
+                        report.straggled_slices += 1;
                     }
-                }
-                let (done, _) = dcc.schedule_slices(submit, &works);
+                    base * mult
+                });
+                let (done, _) = dcc.schedule_slices(submit, &works, None);
                 let link_key = stream(domain::LINK, u as u64, attempt as u64, 0);
                 let replays = inj.link_replays(link_key);
                 if replays > 0 && !resolved[u] {
                     report.log.push(link_key, FaultKind::LinkReplay { replays });
                     report.replay_rounds += replays as usize;
                 }
-                *obs = done + cfg.link.polled_completion_ns_with_replays(done, replays) - done
-                    + cfg.link.transfer_ns_with_replays(response_bytes, replays);
+                *obs = done + cfg.link.polled_completion_ns(done, replays) - done
+                    + cfg.link.transfer_ns(response_bytes, replays);
             }
             for u in 0..users {
                 if resolved[u] {
@@ -645,12 +641,21 @@ impl LongSightSystem {
     pub fn drex_layer_mixed(&self, contexts: &[usize]) -> f64 {
         let cfg = &self.config;
         let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let group = self.model.group_size();
         let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
+        let submit = cfg.link.descriptor_submit_ns(self.descriptor_bytes());
 
+        // Each user's per-slice (keys, survivors) shapes, in slice order.
+        let slice_shapes = |region: usize| -> Vec<(usize, usize)> {
+            let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
+            (0..region.div_ceil(MAX_CONTEXT_SLICE_KEYS))
+                .map(|s| {
+                    let keys = (region - s * MAX_CONTEXT_SLICE_KEYS).min(MAX_CONTEXT_SLICE_KEYS);
+                    let survivors =
+                        ((survivors_total as f64) * keys as f64 / region as f64).round() as usize;
+                    (keys, survivors.min(keys))
+                })
+                .collect()
+        };
         // Users overwhelmingly share slice shapes, so first collect the
         // distinct (keys, survivors) pairs across the whole batch, then time
         // them concurrently — each timing is an independent seeded
@@ -658,19 +663,7 @@ impl LongSightSystem {
         // computed serially.
         let mut shapes: Vec<(usize, usize)> = Vec::new();
         for &ctx in contexts {
-            let region = self.region(ctx);
-            if region == 0 {
-                continue;
-            }
-            let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-            let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-            let mut remaining = region;
-            for _ in 0..slices {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                remaining -= keys;
-                let survivors =
-                    ((survivors_total as f64) * keys as f64 / region as f64).round() as usize;
-                let shape = (keys, survivors.min(keys));
+            for shape in slice_shapes(self.region(ctx)) {
                 if !shapes.contains(&shape) {
                     shapes.push(shape);
                 }
@@ -679,20 +672,13 @@ impl LongSightSystem {
         let shape_times = longsight_exec::deterministic_map(&shapes, |_, &(keys, survivors)| {
             let spec = HeadOffloadSpec {
                 context_len: keys,
-                head_dim: d,
-                queries: group,
+                head_dim: self.model.head_dim,
+                queries: self.model.group_size(),
                 k: cfg.hybrid.top_k.min(keys.max(1)),
                 survivors,
             };
-            time_slice_offload(&cfg.drex, &spec, keys, survivors, 23).total_ns()
+            self.time_slice(&spec, keys, survivors, 23, None).total_ns()
         });
-        let slice_time = |keys: usize, survivors: usize| -> f64 {
-            let at = shapes
-                .iter()
-                .position(|&s| s == (keys, survivors))
-                .expect("every scheduled shape was collected above");
-            shape_times[at]
-        };
 
         let mut last_done = 0.0f64;
         for (u, &ctx) in contexts.iter().enumerate() {
@@ -700,25 +686,20 @@ impl LongSightSystem {
             if region == 0 {
                 continue;
             }
-            let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-            let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-            let mut works = Vec::with_capacity(kv * slices);
-            let mut remaining = region;
-            for s in 0..slices {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                remaining -= keys;
-                let survivors =
-                    ((survivors_total as f64) * keys as f64 / region as f64).round() as usize;
-                let dur = slice_time(keys, survivors.min(keys));
+            let mut works = Vec::new();
+            for (s, shape) in slice_shapes(region).into_iter().enumerate() {
+                let at = shapes
+                    .iter()
+                    .position(|&known| known == shape)
+                    .expect("every scheduled shape was collected above");
                 for h in 0..kv {
                     let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                    works.push((pkg, dur));
+                    works.push((pkg, shape_times[at]));
                 }
             }
-            let (done, _) = dcc.schedule_slices(submit, &works);
-            let response_bytes = kv * cfg.hybrid.top_k.min(region) * (d * 2 + 8);
-            let observed = done + cfg.link.polled_completion_ns(done) - done
-                + cfg.link.transfer_ns(response_bytes);
+            let (done, _) = dcc.schedule_slices(submit, &works, None);
+            let observed = done + cfg.link.polled_completion_ns(done, 0) - done
+                + cfg.link.transfer_ns(self.response_bytes(region), 0);
             last_done = last_done.max(observed);
         }
         last_done
@@ -736,7 +717,9 @@ impl LongSightSystem {
         if users > REQUEST_QUEUE_DEPTH {
             return Err(Infeasible::QueueDepth);
         }
-        let resident = cfg.hybrid.window + cfg.hybrid.sinks;
+        // Every user holds at most the batch's longest context in HBM.
+        let longest = contexts.iter().copied().max().unwrap_or(0);
+        let resident = (cfg.hybrid.window + cfg.hybrid.sinks).min(longest);
         if !longsight_gpu::fits_in_hbm(&cfg.gpu, &self.model, users, resident) {
             return Err(Infeasible::GpuMemory);
         }
@@ -757,20 +740,11 @@ impl LongSightSystem {
         } else {
             0
         };
-        let gpu = decode_step(
-            &cfg.gpu,
-            &self.model,
-            users,
-            resident.min(contexts.iter().copied().max().unwrap_or(0)),
-            true,
-            k_merged,
-        );
+        let gpu = decode_step(&cfg.gpu, &self.model, users, resident, true, k_merged);
         let drex_layer_ns = self.drex_layer_mixed(contexts);
 
-        let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
         let attn_layer = gpu.attention_ns / layers;
         let overlap = attn_layer.max(drex_layer_ns);
-        let step_ns = (gpu_serial_layer + overlap) * layers;
         let drex_visible = (drex_layer_ns - attn_layer).max(0.0) * layers;
         let breakdown = StepBreakdown {
             gpu_weights_ns: gpu.weights_ns,
@@ -779,7 +753,6 @@ impl LongSightSystem {
             drex_offload_ns: drex_visible * 0.7,
             cxl_ns: drex_visible * 0.3,
         };
-        let _ = step_ns;
         let avg_ctx = contexts.iter().sum::<usize>() / users.max(1);
         Ok(StepReport::from_breakdown(users, avg_ctx, breakdown))
     }
@@ -788,10 +761,12 @@ impl LongSightSystem {
     /// report together with the fault timeline and degradation counters of
     /// the representative layer.
     ///
-    /// With faults disabled this is exactly [`ServingSystem::evaluate`] plus
-    /// an empty log. The decode step repeats the same per-layer offload
-    /// schedule `layers` times, so the per-layer degradation counters are
-    /// reported once (per-step counts scale linearly).
+    /// This is the one step evaluation: [`ServingSystem::evaluate`] returns
+    /// its report. With faults disabled the layer is the fault-free
+    /// [`LongSightSystem::drex_layer`] and the log is empty. The decode step
+    /// repeats the same per-layer offload schedule `layers` times, so the
+    /// per-layer degradation counters are reported once (per-step counts
+    /// scale linearly).
     ///
     /// # Errors
     ///
@@ -919,63 +894,8 @@ impl ServingSystem for LongSightSystem {
     }
 
     fn evaluate(&mut self, users: usize, context: usize) -> Result<StepReport, Infeasible> {
-        if self.config.faults.is_enabled() {
-            return self.evaluate_with_faults(users, context).map(|(r, _, _)| r);
-        }
-        let cfg = &self.config;
-        let resident = (cfg.hybrid.window + cfg.hybrid.sinks).min(context);
-        if users > REQUEST_QUEUE_DEPTH {
-            return Err(Infeasible::QueueDepth);
-        }
-        if !longsight_gpu::fits_in_hbm(&cfg.gpu, &self.model, users, resident) {
-            return Err(Infeasible::GpuMemory);
-        }
-        if self.drex_max_users(context) < users {
-            return Err(Infeasible::DrexMemory);
-        }
-
-        let layers = self.model.layers as f64;
-        let k_merged = if self.region(context) > 0 {
-            cfg.hybrid.top_k.min(self.region(context))
-        } else {
-            0
-        };
-        let gpu = decode_step(&cfg.gpu, &self.model, users, resident, true, k_merged);
-        let (drex_layer_ns, profile) = self.drex_layer(users, context);
-
-        // Per layer: serial GPU work, then window attention overlapped with
-        // the offload.
-        let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
-        let attn_layer = gpu.attention_ns / layers;
-        let overlap = attn_layer.max(drex_layer_ns);
-        let step_ns = (gpu_serial_layer + overlap) * layers;
-
-        // Breakdown: attention is visible up to the overlap; any remainder
-        // is DReX wait (device + CXL attributed proportionally).
-        let drex_visible = (drex_layer_ns - attn_layer).max(0.0) * layers;
-        let breakdown = StepBreakdown {
-            gpu_weights_ns: gpu.weights_ns,
-            gpu_attention_ns: attn_layer.min(overlap) * layers,
-            gpu_merge_ns: gpu.itq_ns + gpu.merge_ns,
-            drex_offload_ns: drex_visible * 0.7,
-            cxl_ns: drex_visible * 0.3,
-        };
-        // Note: breakdown components are constructed to sum to step_ns.
-        debug_assert!((breakdown.total_ns() - step_ns).abs() < 1e-3 * step_ns.max(1.0));
-        let report = StepReport::from_breakdown(users, context, breakdown)
-            .with_offload(visible_components(&profile, drex_visible));
-        if self.config.lookahead.enabled {
-            return Ok(self.lookahead_report(
-                report,
-                drex_visible,
-                gpu_serial_layer,
-                attn_layer,
-                drex_layer_ns,
-                &profile,
-                layers,
-            ));
-        }
-        Ok(report)
+        self.evaluate_with_faults(users, context)
+            .map(|(report, _, _)| report)
     }
 
     fn max_users(&self, context: usize) -> usize {
@@ -1024,7 +944,7 @@ impl ServingSystem for LongSightSystem {
             window_tokens,
             hbm_capacity_pages: free_hbm / page_bytes,
             drex_capacity_pages: drex_pages,
-            restore_ns_per_page: cfg.link.transfer_ns(page_bytes),
+            restore_ns_per_page: cfg.link.transfer_ns(page_bytes, 0),
             recompute_ns_per_token: window_prefill / window_tokens.max(1) as f64,
         })
     }
@@ -1342,5 +1262,67 @@ mod tests {
         assert_eq!(fused_ns.to_bits(), split_ns.to_bits());
         assert_eq!(fused_profile, split_profile);
         assert!(issued.ready_rel_ns > 0.0 && issued.ready_rel_ns < split_ns);
+    }
+
+    #[test]
+    fn traced_layer_matches_plain_and_emits_link_and_phase_spans() {
+        let s = system(ModelConfig::llama3_8b());
+        let (plain_ns, plain_profile) = s.drex_layer(8, 131_072);
+        let mut rec = Recorder::enabled();
+        let (traced_ns, traced_profile) = s.drex_layer_traced(8, 131_072, &mut rec, 0.0);
+        assert_eq!(traced_ns.to_bits(), plain_ns.to_bits());
+        assert_eq!(traced_profile, plain_profile);
+
+        let cxl = rec.track("cxl");
+        let critical = rec.track("nma.critical");
+        let top_level = |track: TrackId| -> Vec<&str> {
+            rec.spans()
+                .iter()
+                .filter(|sp| sp.track == track && sp.parent.is_none())
+                .map(|sp| sp.name.as_str())
+                .collect()
+        };
+        assert_eq!(top_level(cxl), ["cxl.submit", "cxl.poll", "cxl.transfer"]);
+        assert_eq!(
+            top_level(critical),
+            [
+                "pfu.filter",
+                "pfu.bitmap",
+                "nma.addr_gen",
+                "nma.fetch_score",
+                "nma.topk"
+            ]
+        );
+        rec.validate_well_formed().unwrap();
+
+        // Span arguments, read back from the Chrome export.
+        let trace = longsight_obs::json::parse(&rec.chrome_trace_json()).unwrap();
+        let events = trace.get("traceEvents").unwrap().as_arr().unwrap();
+        let arg = |span: &str, key: &str| -> Option<f64> {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(span))?
+                .get("args")?
+                .get(key)?
+                .as_f64()
+        };
+        let response_bytes = s.response_bytes(s.region(131_072));
+        assert_eq!(
+            arg("cxl.submit", "bytes"),
+            Some(s.descriptor_bytes() as f64)
+        );
+        assert!(arg("cxl.poll", "ready_at_ns").is_some());
+        assert_eq!(arg("cxl.transfer", "bytes"), Some(response_bytes as f64));
+        assert_eq!(arg("cxl.transfer", "replays"), Some(0.0));
+    }
+
+    #[test]
+    fn mixed_batch_hbm_check_clamps_to_the_longest_context() {
+        // 480 users at 512 tokens keep 512 resident tokens each, not the
+        // full window + sinks, so the batch fits HBM exactly as `evaluate`
+        // finds.
+        let mut s = system(ModelConfig::llama3_8b());
+        assert!(s.evaluate(480, 512).is_ok());
+        assert!(s.evaluate_mixed(&[512; 480]).is_ok());
     }
 }

@@ -700,7 +700,7 @@ fn resolve_spec_step(
     pool.release_until(now_ns);
     let (mut hits, mut misses, mut denied) = (0usize, 0usize, 0usize);
     for (id, tok) in members {
-        if !pool.try_issue(now_ns, s.chain_ns) {
+        if !pool.issue(now_ns, s.chain_ns) {
             denied += 1;
             continue;
         }

@@ -9,6 +9,9 @@
 #   3b. packed-sign-store gate (no per-key SignBits in the hybrid scan)
 #   3c. percentile-selection gate (no full f64 sort in sched/system code:
 #       percentiles select their rank in O(n))
+#   3d. one-function-per-operation gate (no `try_*` / `*_traced` /
+#       `*_injected` / `*_with_replays` variants in the cxl link or the
+#       drex offload, DCC and device models)
 #   4. sim-time-only gate (no wall-clock reads in the instrumented crates)
 #   5. release build (all crates, all bench targets compile), then the
 #      scf kernel smoke (packed scan bit-identical to and faster than the
@@ -88,6 +91,25 @@ sort_hits=$(
 if [ -n "$sort_hits" ]; then
     echo "error: full f64 sort outside tests in sched/system (select the rank instead):" >&2
     echo "$sort_hits" >&2
+    exit 1
+fi
+
+# Each DReX/CXL timing operation is one function: tracing is an optional
+# argument and fault effects are plain inputs, so a plain / try_ / _traced /
+# _injected / _with_replays family must not grow back. Test modules (each
+# file from its first `#[cfg(test)]` on) are exempt.
+echo "== one-function-per-operation gate (cxl, drex offload/dcc/device) =="
+variant_hits=$(
+    awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1}
+        !skip && /pub fn (try_|[A-Za-z0-9_]*_(traced|injected|with_replays)[^A-Za-z0-9_])/ {
+            print FILENAME ":" FNR ": " $0
+        }' \
+        crates/cxl/src/lib.rs crates/drex/src/offload.rs \
+        crates/drex/src/dcc.rs crates/drex/src/device.rs
+)
+if [ -n "$variant_hits" ]; then
+    echo "error: variant of a DReX/CXL timing operation (fold it into the one function):" >&2
+    echo "$variant_hits" >&2
     exit 1
 fi
 

@@ -136,7 +136,7 @@ fn slot_pool_occupancy_never_exceeds_its_bound() {
             now += g.f64_in(0.0, 2.0e6);
             pool.release_until(now);
             for _ in 0..g.usize_in(0, 8) {
-                pool.try_issue(now, g.f64_in(0.0, 10.0e6));
+                pool.issue(now, g.f64_in(0.0, 10.0e6));
                 attempts += 1;
                 prop_ensure!(
                     pool.occupancy() <= pool.capacity(),

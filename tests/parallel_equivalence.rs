@@ -308,8 +308,8 @@ fn offload_timing_is_bit_identical_across_thread_counts() {
     };
 
     let runs = across_thread_counts(|| {
-        let head = time_head_offload(&params, &spec, 99);
-        let slice = time_slice_offload(&params, &spec, 60_000, 3_000, 17);
+        let head = time_head_offload(&params, &spec, 99).unwrap();
+        let slice = time_slice_offload(&params, &spec, 60_000, 3_000, 17, None).unwrap();
         (head, slice)
     });
     let (_, baseline) = runs[0];
