@@ -303,6 +303,16 @@ impl Recorder {
         }
     }
 
+    /// Records `n` observations of `value` into one histogram with a
+    /// single name lookup (no-op when disabled). Feeding an exact multiset
+    /// as ascending `(value, multiplicity)` pairs gives the histogram
+    /// [`Recorder::observe_all`] builds from its expansion.
+    pub fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        if self.enabled {
+            self.metrics.observe_n(name, value, n);
+        }
+    }
+
     /// Records every value of `values` into one histogram, in ascending
     /// `total_cmp` order, so the histogram's floating-point sum depends on
     /// the multiset alone and not on the order the caller left the values
@@ -543,6 +553,53 @@ mod tests {
         off.observe_all("h", &mut untouched);
         assert_eq!(untouched, [2.0, 1.0], "disabled: no sort");
         assert!(off.metrics.is_empty());
+    }
+
+    #[test]
+    fn observe_n_over_a_multiset_equals_observe_all_over_its_expansion() {
+        // Ascending (value, multiplicity) pairs with ties across bucket
+        // edges, a signed zero and an overflow value; the sum of 1e16 plus
+        // small values depends on the order, so only the ascending
+        // expansion's order reproduces it.
+        let multiset = [
+            (-0.0, 2u64),
+            (0.1, 3),
+            (0.2, 1),
+            (5.0, 4),
+            (5.000_000_000_000_001, 2),
+            (1e16, 3),
+        ];
+        let mut expanded: Vec<f64> = multiset
+            .iter()
+            .rev()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n as usize))
+            .collect();
+        let mut want = Recorder::enabled();
+        want.observe_all("lat_ms", &mut expanded);
+        let mut got = Recorder::enabled();
+        for &(v, n) in &multiset {
+            got.observe_n("lat_ms", v, n);
+        }
+        got.observe_n("lat_ms", 9.0, 0);
+        let (w, g) = (
+            want.metrics.histogram("lat_ms").unwrap(),
+            got.metrics.histogram("lat_ms").unwrap(),
+        );
+        assert_eq!(w.counts, g.counts);
+        assert_eq!(w.count, g.count);
+        assert_eq!(w.sum.to_bits(), g.sum.to_bits());
+        assert_eq!(w.min.to_bits(), g.min.to_bits());
+        assert_eq!(w.max.to_bits(), g.max.to_bits());
+        assert_eq!(w, g);
+        let mut off = Recorder::disabled();
+        off.observe_n("lat_ms", 1.0, 5);
+        assert!(off.metrics.is_empty());
+        let mut zero = Recorder::enabled();
+        zero.observe_n("lat_ms", 1.0, 0);
+        assert!(
+            zero.metrics.is_empty(),
+            "zero multiplicity registers nothing"
+        );
     }
 
     #[test]

@@ -86,14 +86,26 @@ impl Histogram {
     }
 
     pub(crate) fn observe(&mut self, value: f64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of `value`: one bucket search, and the
+    /// sum built by `n` successive additions, so the histogram equals `n`
+    /// calls of `observe(value)` bit for bit.
+    pub(crate) fn observe_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self
             .edges
             .iter()
             .position(|&e| value <= e)
             .unwrap_or(self.edges.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
+        self.counts[idx] += n;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += value;
+        }
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -191,12 +203,23 @@ impl MetricsRegistry {
     /// and [`DEFAULT_COUNT_EDGES`] for everything else — never blindly with
     /// millisecond buckets.
     pub fn observe(&mut self, name: &str, value: f64) {
+        self.observe_n(name, value, 1);
+    }
+
+    /// Records `n` observations of `value` into the named histogram with
+    /// one name lookup — the same histogram as `n` calls of
+    /// [`MetricsRegistry::observe`], bit for bit. `n == 0` records (and
+    /// registers) nothing.
+    pub fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if let Some(&i) = self.histogram_index.get(name) {
-            self.histograms[i].1.observe(value);
+            self.histograms[i].1.observe_n(value, n);
             return;
         }
         let mut h = Histogram::new(default_edges_for(name));
-        h.observe(value);
+        h.observe_n(value, n);
         self.histogram_index
             .insert(name.to_string(), self.histograms.len());
         self.histograms.push((name.to_string(), h));

@@ -4,11 +4,14 @@
 //! A fleet run produces one [`crate::SchedReport`] per replica plus the
 //! router's placement log. [`FleetReport`] stitches them together:
 //! per-class outcomes roll up by summing counts and recomputing percentiles
-//! over the merged latency samples (never by averaging per-replica
-//! percentiles), and the audit checks the properties no single replica can
-//! see — every arrival placed exactly once, arrivals conserved across the
-//! fleet, and every replica's own page-ledger audit clean.
+//! over the merged latencies — exact token-latency counts and request
+//! samples — never by averaging per-replica percentiles, and the audit
+//! checks the properties no single replica can see — every arrival placed
+//! exactly once, arrivals conserved across the fleet, every token sample
+//! the serving loops tallied present in the merged counts, and every
+//! replica's own page-ledger audit clean.
 
+use crate::latency::LatencyCounts;
 use crate::request::SloClass;
 use crate::router::RouterPolicy;
 use crate::scheduler::{percentile, ClassReport, SchedReport};
@@ -213,7 +216,7 @@ pub struct FleetReport {
     /// redispatches are logged in [`FleetFaultSummary::redispatches`]).
     pub placements: Vec<Placement>,
     /// Fleet-wide per-class outcomes (counts summed, percentiles over the
-    /// merged samples), indexed by [`SloClass::index`].
+    /// merged latencies), indexed by [`SloClass::index`].
     pub per_class: [ClassReport; 3],
     /// First violated cross-replica invariant, if any (must be `None`).
     pub audit_violation: Option<String>,
@@ -230,24 +233,29 @@ pub struct FleetReport {
 impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
-    /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica, in any order; the percentiles select
-    /// over them in place, so their order afterwards is unspecified. With the
-    /// fault/overload outcome attached the audit also checks the
-    /// redispatch and shed logs (placed + shed = offered; per-replica
-    /// arrivals = placements + redispatches into it).
+    /// `samples` are the per-class `(token, request)` latencies merged
+    /// across every replica: the exact token-latency counts (see
+    /// [`LatencyCounts::merge`]) and the request-latency samples in any
+    /// order, which the percentiles select over in place, so their order
+    /// afterwards is unspecified. The audit checks token conservation
+    /// against the merged counts' total `len()`. With the fault/overload
+    /// outcome attached it also checks the redispatch and shed logs
+    /// (placed + shed = offered; per-replica arrivals = placements +
+    /// redispatches into it).
     pub fn assemble_with_faults(
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
         placements: Vec<Placement>,
-        mut samples: [(Vec<f64>, Vec<f64>); 3],
+        mut samples: [(LatencyCounts, Vec<f64>); 3],
         faults: Option<FleetFaultSummary>,
     ) -> Self {
-        let audit_violation = audit(&replicas, &placements, faults.as_ref());
+        let counted = samples.iter().map(|(tok, _)| tok.len()).sum();
+        let audit_violation = audit(&replicas, &placements, faults.as_ref())
+            .or_else(|| audit_tokens(&replicas, counted));
         let mut per_class: [ClassReport; 3] = Default::default();
         for class in SloClass::ALL {
             let i = class.index();
-            let (ref mut tok, ref mut req) = samples[i];
+            let (ref tok, ref mut req) = samples[i];
             let sum = |f: fn(&ClassReport) -> usize| -> usize {
                 replicas.iter().map(|r| f(&r.per_class[i])).sum()
             };
@@ -258,8 +266,8 @@ impl FleetReport {
                 failed: sum(|c| c.failed),
                 preempted: sum(|c| c.preempted),
                 tokens: sum(|c| c.tokens),
-                p50_token_ms: percentile(tok, 0.5),
-                p99_token_ms: percentile(tok, 0.99),
+                p50_token_ms: tok.quantile_ceil(0.5),
+                p99_token_ms: tok.quantile_ceil(0.99),
                 p50_request_ms: percentile(req, 0.5),
                 p99_request_ms: percentile(req, 0.99),
             };
@@ -296,12 +304,15 @@ impl FleetReport {
     /// Wraps a single replica's report as a degenerate fleet: the
     /// single-replica serving path stays bit-identical (the report is
     /// embedded untouched, per-class percentiles included) and the audit
-    /// still runs over the trivial placement log.
+    /// still runs over the trivial placement log, token conservation
+    /// included (the loop's tally against the report's own counts).
     pub fn single(router: RouterPolicy, report: SchedReport) -> Self {
         let arrived: usize = report.per_class.iter().map(|c| c.arrived).sum();
         let placements: Vec<Placement> = (0..arrived).map(|id| (id, 0)).collect();
+        let counted = report.token_samples;
         let replicas = vec![report];
-        let audit_violation = audit(&replicas, &placements, None);
+        let audit_violation =
+            audit(&replicas, &placements, None).or_else(|| audit_tokens(&replicas, counted));
         Self {
             router,
             per_class: replicas[0].per_class.clone(),
@@ -508,6 +519,21 @@ fn audit(
     None
 }
 
+/// Token conservation: the token-latency samples every replica's serving
+/// loop tallied (`min(decoding, 64)` per decode step, summed) must all be
+/// in the merged class counts, whose total `len()` is `counted`. Skipped
+/// when a report carries no loop tally (a scheduler driven without a
+/// serving loop).
+fn audit_tokens(replicas: &[SchedReport], counted: usize) -> Option<String> {
+    let mut tallied = 0usize;
+    for rep in replicas {
+        tallied += rep.loop_token_samples?;
+    }
+    (tallied != counted).then(|| {
+        format!("serving loops tallied {tallied} token samples but the class counts hold {counted}")
+    })
+}
+
 /// The session-workload invariants (see [`FleetReport::attach_sessions`]):
 ///
 /// 1. Every pull names two distinct in-range replicas, an offered arrival,
@@ -593,11 +619,13 @@ mod tests {
                 ..Default::default()
             },
             leaked_pages: 0,
+            token_samples: 0,
+            loop_token_samples: None,
             invariant_violation: None,
         }
     }
 
-    fn no_samples() -> [(Vec<f64>, Vec<f64>); 3] {
+    fn no_samples() -> [(LatencyCounts, Vec<f64>); 3] {
         Default::default()
     }
 
@@ -919,10 +947,11 @@ mod tests {
     fn roll_up_merges_samples_not_percentiles() {
         // Replica 0 has fast tokens, replica 1 slow ones; the fleet p99
         // must come from the merged population, not an average. The merged
-        // samples arrive in descending order: the roll-up selects ranks and
-        // does not rely on sorted input.
+        // request samples arrive in descending order: the roll-up selects
+        // ranks and does not rely on sorted input.
         let mut samples = no_samples();
-        samples[0].0 = vec![9.0, 1.0, 1.0, 1.0];
+        samples[0].0.add(9.0, 1);
+        samples[0].0.add(1.0, 3);
         samples[0].1 = vec![40.0, 30.0, 20.0, 10.0];
         let f = FleetReport::assemble_with_faults(
             RouterPolicy::JsqSpillover,
@@ -935,5 +964,56 @@ mod tests {
         assert_eq!(f.per_class[0].p50_token_ms, 1.0);
         assert_eq!(f.per_class[0].p99_request_ms, 40.0);
         assert_eq!(f.per_class[0].p50_request_ms, 20.0, "lower median");
+    }
+
+    #[test]
+    fn token_audit_flags_a_tally_the_counts_do_not_hold() {
+        // Two replicas whose loops tallied 3 + 2 token samples.
+        let tallied = |n: usize| {
+            let mut r = report([1, 0, 0]);
+            r.loop_token_samples = Some(n);
+            r
+        };
+        let assemble = |held: usize| {
+            let mut samples = no_samples();
+            samples[0].0.add(12.5, held);
+            FleetReport::assemble_with_faults(
+                RouterPolicy::JsqSpillover,
+                vec![tallied(3), tallied(2)],
+                vec![(0, 0), (1, 1)],
+                samples,
+                None,
+            )
+        };
+        assert_eq!(assemble(5).audit_violation, None);
+        let lost = assemble(4);
+        let v = lost.audit_violation.as_deref().unwrap();
+        assert!(
+            v.contains("tallied 5 token samples") && v.contains("hold 4"),
+            "{v}"
+        );
+        assert!(lost.to_text().contains("audit: VIOLATION"));
+
+        // The single-replica wrapper checks the loop's tally against the
+        // report's own counts.
+        let mut one = tallied(7);
+        one.token_samples = 7;
+        assert_eq!(
+            FleetReport::single(RouterPolicy::RoundRobin, one.clone()).audit_violation,
+            None
+        );
+        one.token_samples = 6;
+        let v = FleetReport::single(RouterPolicy::RoundRobin, one).audit_violation;
+        assert!(v
+            .unwrap()
+            .contains("tallied 7 token samples but the class counts hold 6"));
+
+        // No loop tally (a scheduler driven directly): nothing to check.
+        let mut untallied = report([1, 0, 0]);
+        untallied.token_samples = 3;
+        assert_eq!(
+            FleetReport::single(RouterPolicy::RoundRobin, untallied).audit_violation,
+            None
+        );
     }
 }

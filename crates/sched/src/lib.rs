@@ -26,9 +26,12 @@
 //!   [`PagedKvManager`]; the router only picks where an arrival lands,
 //!   from a [`SchedLoad`] snapshot taken at arrival time.
 //! * [`FleetReport`] rolls per-replica reports up (counts summed,
-//!   percentiles over the merged samples) and audits the cross-replica
-//!   invariants: every arrival placed exactly once, arrivals conserved,
-//!   every replica's page ledger clean.
+//!   percentiles over the merged latencies) and audits the cross-replica
+//!   invariants: every arrival placed exactly once, arrivals and token
+//!   samples conserved, every replica's page ledger clean.
+//! * [`LatencyCounts`] holds per-token latencies as an exact value →
+//!   multiplicity map, so token percentiles cost memory per distinct step
+//!   duration, not per token.
 //!
 //! The crate is dependency-free and knows nothing about latency models or
 //! observability: feasibility is a callback, costs arrive precomputed on
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
+pub mod latency;
 pub mod pages;
 pub mod request;
 pub mod router;
@@ -51,6 +55,7 @@ pub use fleet::{
     FleetFaultSummary, FleetReport, Placement, PullRecord, RedispatchRecord, SessionSummary,
     ShedRecord, SloBurnSummary,
 };
+pub use latency::LatencyCounts;
 pub use pages::{AllocError, PageConfig, PageStats, PagedKvManager};
 pub use request::{KvDeviceGeometry, ResumePath, SchedRequest, SloClass, SloMix};
 pub use router::{

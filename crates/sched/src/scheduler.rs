@@ -19,6 +19,7 @@
 //!   DReX-resident state when a higher class cannot get HBM pages, charging
 //!   the deterministic restore-or-recompute cost on resume.
 
+use crate::latency::LatencyCounts;
 use crate::pages::{PageConfig, PageStats, PagedKvManager};
 use crate::request::{SchedRequest, SloClass};
 
@@ -283,13 +284,15 @@ struct ClassAccum {
     failed: usize,
     preempted: usize,
     tokens: usize,
-    token_lat_ms: Vec<f64>,
+    token_lat_ms: LatencyCounts,
     request_lat_ms: Vec<f64>,
 }
 
 /// Per-class outcome summary.
 ///
-/// Percentiles use the **ceil nearest-rank** convention:
+/// Token percentiles are read off exact [`LatencyCounts`]; request
+/// percentiles select over the per-request latencies. Both use the **ceil
+/// nearest-rank** convention:
 /// `sorted[ceil(len × p) - 1]`, the smallest sample with at least `p` of
 /// the population at or below it. In particular, p99 over fewer than 100
 /// samples is the maximum, and p50 of an even-sized population is the
@@ -343,6 +346,14 @@ pub struct SchedReport {
     pub pages: PageStats,
     /// Pages still held by requests no longer active or queued (must be 0).
     pub leaked_pages: usize,
+    /// Token-latency samples the per-class counts hold: the sum over
+    /// decode steps of `min(decoding, 64)`, as this scheduler counted it.
+    pub token_samples: usize,
+    /// The serving loop's own tally of the same sum, kept apart from the
+    /// scheduler's counts and attached after [`Scheduler::finalize`];
+    /// `None` when no serving loop drove this scheduler. The fleet's
+    /// token-conservation audit requires the two to agree.
+    pub loop_token_samples: Option<usize>,
     /// First violated page invariant, if any (must be `None`).
     pub invariant_violation: Option<String>,
 }
@@ -401,7 +412,8 @@ impl SchedReport {
     }
 }
 
-/// Ceil nearest-rank percentile: the smallest sample such that at least
+/// Ceil nearest-rank percentile over request latencies: the smallest
+/// sample such that at least
 /// `p` of the population is ≤ it, i.e. `sorted[ceil(len × p) - 1]` of the
 /// ascending order.
 ///
@@ -640,16 +652,18 @@ impl Scheduler {
         }
     }
 
-    /// Per-class `(token, request)` latency samples accumulated so far:
-    /// in recording order until [`Scheduler::finalize`] runs, in an
+    /// Per-class latencies accumulated so far: the exact token-latency
+    /// counts (each decode step adds its duration once per counted
+    /// decoder, at most 64 per step) and the request-latency samples, in
+    /// recording order until [`Scheduler::finalize`] runs and in an
     /// unspecified order after it (its percentile selection permutes them
-    /// in place). Fleet roll-ups merge these across replicas and
-    /// recompute percentiles over the union — averaging per-replica
-    /// percentiles would be wrong.
-    pub fn class_samples(&self) -> [(&[f64], &[f64]); 3] {
+    /// in place). Fleet roll-ups merge both across replicas and recompute
+    /// percentiles over the union — averaging per-replica percentiles
+    /// would be wrong.
+    pub fn class_samples(&self) -> [(&LatencyCounts, &[f64]); 3] {
         [0, 1, 2].map(|i| {
             (
-                self.class[i].token_lat_ms.as_slice(),
+                &self.class[i].token_lat_ms,
                 self.class[i].request_lat_ms.as_slice(),
             )
         })
@@ -1055,21 +1069,26 @@ impl Scheduler {
                 self.prefill_work_ns += chunk;
             }
         }
-        // Per-class token latencies, capped at 64 per step like the global
-        // serving histogram.
-        let mut counted = 0usize;
+        // Per-class token latencies: the first 64 decoders in batch order
+        // count, like the global serving histogram, and each class adds
+        // the step's duration once with its count.
+        let mut counted = [0usize; 3];
+        let mut total = 0usize;
         for i in 0..self.active.len() {
             if !self.active[i].in_decode {
                 continue;
             }
             let cls = self.active[i].req.class.index();
-            if counted < 64 {
-                self.class[cls].token_lat_ms.push(dt / 1e6);
-                counted += 1;
+            if total < 64 {
+                counted[cls] += 1;
+                total += 1;
             }
             self.class[cls].tokens += 1;
             self.active[i].remaining -= 1;
             self.active[i].generated += 1;
+        }
+        for (acc, &n) in self.class.iter_mut().zip(&counted) {
+            acc.token_lat_ms.add(dt / 1e6, n);
         }
         let mut done = Vec::new();
         let mut i = 0;
@@ -1143,8 +1162,8 @@ impl Scheduler {
                 failed: acc.failed,
                 preempted: acc.preempted,
                 tokens: acc.tokens,
-                p50_token_ms: percentile(&mut acc.token_lat_ms, 0.5),
-                p99_token_ms: percentile(&mut acc.token_lat_ms, 0.99),
+                p50_token_ms: acc.token_lat_ms.quantile_ceil(0.5),
+                p99_token_ms: acc.token_lat_ms.quantile_ceil(0.99),
                 p50_request_ms: percentile(&mut acc.request_lat_ms, 0.5),
                 p99_request_ms: percentile(&mut acc.request_lat_ms, 0.99),
             };
@@ -1159,6 +1178,8 @@ impl Scheduler {
             prefill_work_ns: self.prefill_work_ns,
             pages: self.pages.stats(),
             leaked_pages: leaked,
+            token_samples: self.class.iter().map(|c| c.token_lat_ms.len()).sum(),
+            loop_token_samples: None,
             invariant_violation,
         }
     }

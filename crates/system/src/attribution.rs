@@ -6,10 +6,10 @@
 //! weight streaming, merge, the offload pipeline phases, any fault retry
 //! penalty, and — with the lookahead pipeline on — the speculation miss
 //! charge). This module folds those per-step breakdowns into per-component
-//! sample populations weighted exactly like the token-latency percentiles
-//! in [`crate::serving::ServeMetrics`], so the attribution table's *total*
-//! row reproduces the run's reported p50/p99 byte-for-byte and the mean
-//! column sums to the mean token latency.
+//! exact value counts weighted like the token-latency percentiles in
+//! [`crate::serving::ServeMetrics`], so the attribution table's *total* row
+//! reproduces the run's reported p50/p99 byte-for-byte and the mean column
+//! sums to the mean token latency.
 //!
 //! With lookahead on, two extra components appear: `spec_miss` — the time
 //! a step paid because its speculation did not cover it (the serialized
@@ -22,7 +22,7 @@
 //! unoverlapped chain exactly (see [`SpecSample`]).
 
 use crate::report::{SpecStep, StepReport};
-use crate::serving::percentile;
+use longsight_sched::LatencyCounts;
 
 /// Names of the attribution components, in table order. The first eight
 /// are always populated; `spec_miss` and `overlap_hidden` only with the
@@ -118,7 +118,7 @@ fn spec_components(s: &SpecStep, charge: SpecCharge, hit_step_ns: f64) -> (f64, 
     }
 }
 
-/// Per-step speculation accounting kept alongside the sample populations,
+/// Per-step speculation accounting kept alongside the component counts,
 /// in ns, so tests can reconcile the recorded components against the
 /// [`SpecStep`] identities bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,20 +141,41 @@ pub struct SpecSample {
 
 /// Per-token latency attribution collected across a serving run.
 ///
-/// One sample per generated token (batch size capped at 64 per step, the
-/// same cap [`crate::serving::ServeMetrics`] applies to its token-latency
-/// percentiles), per component, in milliseconds. The `total` population
-/// stores each token's full step latency directly — not the component sum
-/// — so its percentiles are bit-identical to the run's reported token
-/// latency.
-#[derive(Debug, Clone, Default)]
+/// Each component keeps the exact counts of its per-token values in
+/// milliseconds — one per generated token, batch size capped at 64 per
+/// step, the same cap [`crate::serving::ServeMetrics`] applies to its
+/// token-latency percentiles — plus a running sum for the mean. The
+/// `total` counts hold each token's full step latency directly — not the
+/// component sum — so its percentiles are bit-identical to the run's
+/// reported token latency. The running sums add every token's value one at
+/// a time in recording order, starting from `-0.0` like `Iterator::sum`,
+/// so each mean equals the sum over the expanded per-token values bit for
+/// bit.
+#[derive(Debug, Clone)]
 pub struct TokenAttribution {
-    samples: [Vec<f64>; 10],
-    totals: Vec<f64>,
+    counts: [LatencyCounts; 10],
+    sums: [f64; 10],
+    totals: LatencyCounts,
+    total_sum: f64,
     spec_hits: usize,
     spec_misses: usize,
     spec_denied: usize,
     spec_steps: Vec<SpecSample>,
+}
+
+impl Default for TokenAttribution {
+    fn default() -> Self {
+        Self {
+            counts: Default::default(),
+            sums: [-0.0; 10],
+            totals: LatencyCounts::new(),
+            total_sum: -0.0,
+            spec_hits: 0,
+            spec_misses: 0,
+            spec_denied: 0,
+            spec_steps: Vec::new(),
+        }
+    }
 }
 
 impl TokenAttribution {
@@ -165,14 +186,19 @@ impl TokenAttribution {
 
     /// Folds one decode step in: `parts` are the per-token component
     /// shares in ns (from [`attribution_parts`]), `dt_ns` the step's total
-    /// latency, and `weight` the number of token samples the step
-    /// contributes.
+    /// latency, and `weight` the number of tokens the step contributes.
     pub fn record_step(&mut self, parts: [f64; 10], dt_ns: f64, weight: usize) {
-        for _ in 0..weight {
-            for (c, &p) in parts.iter().enumerate() {
-                self.samples[c].push(p / 1e6);
+        let total = dt_ns / 1e6;
+        for (c, &p) in parts.iter().enumerate() {
+            let ms = p / 1e6;
+            self.counts[c].add(ms, weight);
+            for _ in 0..weight {
+                self.sums[c] += ms;
             }
-            self.totals.push(dt_ns / 1e6);
+        }
+        self.totals.add(total, weight);
+        for _ in 0..weight {
+            self.total_sum += total;
         }
     }
 
@@ -207,7 +233,7 @@ impl TokenAttribution {
         !self.spec_steps.is_empty()
     }
 
-    /// Number of token samples collected.
+    /// Number of tokens recorded.
     pub fn len(&self) -> usize {
         self.totals.len()
     }
@@ -217,25 +243,28 @@ impl TokenAttribution {
         self.totals.is_empty()
     }
 
-    /// `(mean, p50, p99)` of one component's population, ms.
+    /// `(mean, p50, p99)` of one component's per-token values, ms.
     pub fn component_stats(&self, c: usize) -> (f64, f64, f64) {
-        Self::stats_of(&self.samples[c])
+        Self::stats_of(&self.counts[c], self.sums[c])
     }
 
     /// `(mean, p50, p99)` of the total token latency, ms. The percentiles
-    /// come from the serving estimator itself, so they equal
-    /// `ServeMetrics::{p50,p99}_token_ms` of the same run.
+    /// use the serving estimator itself (`quantile_round` over the same
+    /// multiset), so they equal `ServeMetrics::{p50,p99}_token_ms` of the
+    /// same run.
     pub fn total_stats(&self) -> (f64, f64, f64) {
-        Self::stats_of(&self.totals)
+        Self::stats_of(&self.totals, self.total_sum)
     }
 
-    fn stats_of(samples: &[f64]) -> (f64, f64, f64) {
-        if samples.is_empty() {
+    fn stats_of(counts: &LatencyCounts, sum: f64) -> (f64, f64, f64) {
+        if counts.is_empty() {
             return (0.0, 0.0, 0.0);
         }
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut v = samples.to_vec();
-        (mean, percentile(&mut v, 0.5), percentile(&mut v, 0.99))
+        (
+            sum / counts.len() as f64,
+            counts.quantile_round(0.5),
+            counts.quantile_round(0.99),
+        )
     }
 
     /// The attribution table: one row per component plus a total row. The

@@ -34,9 +34,9 @@ use longsight_obs::json::fmt_f64;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
-    Placement, PullRecord, RedispatchRecord, Router, RouterPolicy, SchedConfig, SchedEvent,
-    SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary, ShedRecord, SloBurnSummary,
-    SloClass, SloMix,
+    LatencyCounts, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy, SchedConfig,
+    SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary, ShedRecord,
+    SloBurnSummary, SloClass, SloMix,
 };
 use longsight_tensor::SimRng;
 use std::borrow::Cow;
@@ -230,9 +230,13 @@ pub struct ServeMetrics {
     pub in_flight: usize,
     /// Generated tokens per second over the simulated window.
     pub throughput_tps: f64,
-    /// Median per-token (decode step) latency, ms.
+    /// Median per-token (decode step) latency, ms: the round-index
+    /// percentile ([`LatencyCounts::quantile_round`]) of the exact token
+    /// counts merged across classes (and replicas), in which each decode
+    /// step contributes its duration `min(decoding, 64)` times.
     pub p50_token_ms: f64,
-    /// 99th-percentile per-token latency, ms.
+    /// 99th-percentile per-token latency, ms, over the same counts as
+    /// [`ServeMetrics::p50_token_ms`].
     pub p99_token_ms: f64,
     /// Median end-to-end request latency (arrival → last token), ms.
     pub p50_request_ms: f64,
@@ -419,8 +423,9 @@ impl ServeMetrics {
 }
 
 /// Nearest-rank percentile on the `round((n − 1) × p)` index of the
-/// ascending order, 0 for an empty population — the estimator of every
-/// [`ServeMetrics`] and [`crate::TokenAttribution`] percentile.
+/// ascending order, 0 for an empty population — the estimator of the
+/// [`ServeMetrics`] request-latency percentiles. Token latencies use the
+/// same rule on exact counts ([`LatencyCounts::quantile_round`]).
 ///
 /// The index is found by O(n) in-place selection, so `samples` need not be
 /// sorted and their order afterwards is unspecified. Under `total_cmp` two
@@ -432,6 +437,58 @@ pub(crate) fn percentile(samples: &mut [f64], p: f64) -> f64 {
     }
     let idx = ((samples.len() - 1) as f64 * p).round() as usize;
     *samples.select_nth_unstable_by(idx, f64::total_cmp).1
+}
+
+/// One serving loop's per-step tallies: decode steps, the users they
+/// batched (for the mean batch), and the token-latency samples they
+/// produced, `min(decoding, 64)` per step — the scalar the fleet's
+/// token-conservation audit checks against the scheduler's class counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepTally {
+    steps: usize,
+    users: usize,
+    token_samples: usize,
+}
+
+impl StepTally {
+    /// Tallies one decode step with `decoding` members.
+    fn record(&mut self, decoding: usize) {
+        self.steps += 1;
+        self.users += decoding;
+        self.token_samples += decoding.min(64);
+    }
+
+    fn merge(&mut self, other: &StepTally) {
+        self.steps += other.steps;
+        self.users += other.users;
+        self.token_samples += other.token_samples;
+    }
+
+    /// Mean decode batch, 0 without a decode step. Both sums are exact
+    /// integers, so this equals the mean of the per-step batch sizes.
+    fn mean_batch(&self) -> f64 {
+        if self.steps == 0 {
+            0.0
+        } else {
+            self.users as f64 / self.steps as f64
+        }
+    }
+
+    /// Attaches this loop's token-sample tally to its scheduler's report
+    /// for the token-conservation audit.
+    fn attach(&self, mut report: SchedReport) -> SchedReport {
+        report.loop_token_samples = Some(self.token_samples);
+        report
+    }
+}
+
+/// The run's token-latency multiset: every class's counts merged.
+fn merged_token_counts<'a>(classes: impl Iterator<Item = &'a LatencyCounts>) -> LatencyCounts {
+    let mut all = LatencyCounts::new();
+    for c in classes {
+        all.merge(c);
+    }
+    all
 }
 
 #[derive(Debug, Clone)]
@@ -823,7 +880,7 @@ pub fn simulate_scheduled(
     sched.set_event_recording(rec.is_enabled());
 
     let mut now = 0.0f64;
-    let mut step_times: Vec<(f64, usize)> = Vec::new();
+    let mut steps = StepTally::default();
     let mut request_latencies: Vec<f64> = Vec::new();
     let mut generated_tokens = 0usize;
     let serving_track = rec.track("serving");
@@ -1040,7 +1097,7 @@ pub fn simulate_scheduled(
         }
         let decoding = sched.decoding_count();
         if decoding > 0 {
-            step_times.push((dt, decoding));
+            steps.record(decoding);
             if let (Some(a), Some(r)) = (attr.as_deref_mut(), report.as_ref()) {
                 let parts = attribution_parts(r, dt, spec_charge);
                 a.record_step(parts, dt, decoding.min(64));
@@ -1083,13 +1140,7 @@ pub fn simulate_scheduled(
         }
     }
 
-    let mut token_lat: Vec<f64> = Vec::new();
-    for &(dt, users) in &step_times {
-        for _ in 0..users.min(64) {
-            token_lat.push(dt / 1e6);
-        }
-    }
-
+    let token_lat = merged_token_counts(sched.class_samples().iter().map(|(tok, _)| *tok));
     let span_s = (now.max(1.0)) / 1e9;
     let slo_burn = finalize_slo_burn(rec);
     let metrics = ServeMetrics {
@@ -1101,15 +1152,11 @@ pub fn simulate_scheduled(
             - sched.waiting_len()
             - degrade.failed_requests,
         throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&mut token_lat, 0.5),
-        p99_token_ms: percentile(&mut token_lat, 0.99),
+        p50_token_ms: token_lat.quantile_round(0.5),
+        p99_token_ms: token_lat.quantile_round(0.99),
         p50_request_ms: percentile(&mut request_latencies, 0.5),
         p99_request_ms: percentile(&mut request_latencies, 0.99),
-        mean_batch: if step_times.is_empty() {
-            0.0
-        } else {
-            step_times.iter().map(|&(_, u)| u as f64).sum::<f64>() / step_times.len() as f64
-        },
+        mean_batch: steps.mean_batch(),
         retried_tokens: degrade.retried_tokens,
         degraded_tokens: degrade.degraded_tokens,
         failed_requests: degrade.failed_requests,
@@ -1123,9 +1170,11 @@ pub fn simulate_scheduled(
         spec_denied,
         slo_burn,
     };
-    let sched_report = sched.finalize();
+    let sched_report = steps.attach(sched.finalize());
     if rec.is_enabled() {
-        rec.observe_all("serving.token_latency_ms", &mut token_lat);
+        for (v, n) in token_lat.iter() {
+            rec.observe_n("serving.token_latency_ms", v, n as u64);
+        }
         rec.observe_all("serving.request_latency_ms", &mut request_latencies);
         rec.counter_add("serving.completed", metrics.completed as u64);
         rec.counter_add("serving.rejected", metrics.rejected as u64);
@@ -1239,7 +1288,7 @@ fn finalize_slo_burn(rec: &mut Recorder) -> Option<SloBurnSummary> {
 struct ReplicaSim {
     sched: Scheduler,
     now: f64,
-    step_times: Vec<(f64, usize)>,
+    steps: StepTally,
     request_latencies: Vec<f64>,
     generated_tokens: usize,
     cache: Vec<((usize, usize), Option<StepReport>)>,
@@ -1294,7 +1343,7 @@ impl ReplicaSim {
         Self {
             sched,
             now: 0.0,
-            step_times: Vec::new(),
+            steps: StepTally::default(),
             request_latencies: Vec::new(),
             generated_tokens: 0,
             cache: Vec::new(),
@@ -1472,7 +1521,7 @@ impl ReplicaSim {
         let decoding = self.sched.decoding_count();
         let ts_on = rec.timeseries.is_enabled();
         if decoding > 0 {
-            self.step_times.push((dt, decoding));
+            self.steps.record(decoding);
             self.generated_tokens += decoding;
             if ts_on {
                 rec.timeseries.rate_add("tokens", self.now, decoding as f64);
@@ -1954,28 +2003,20 @@ pub fn simulate_fleet_with(
         r.drain_all(sys.as_mut(), rec, horizon_ns);
     }
 
-    // Fleet-wide aggregates: merged samples, summed counters, the span of
-    // the slowest replica.
-    let mut token_lat: Vec<f64> = Vec::new();
+    // Fleet-wide aggregates: merged latencies, summed counters, the span
+    // of the slowest replica.
     let mut request_latencies: Vec<f64> = Vec::new();
     let mut generated_tokens = 0usize;
-    let mut batch_users = 0usize;
-    let mut batch_steps = 0usize;
+    let mut steps = StepTally::default();
     let mut rejected = 0usize;
     let mut waiting = 0usize;
     let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
     let mut degraded_tokens = 0usize;
     let mut fleet_now = 0.0f64;
     let mut reports: Vec<SchedReport> = Vec::with_capacity(n);
-    let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
+    let mut samples: [(LatencyCounts, Vec<f64>); 3] = Default::default();
     for r in replicas.iter_mut() {
-        for &(dt, users) in &r.step_times {
-            for _ in 0..users.min(64) {
-                token_lat.push(dt / 1e6);
-            }
-            batch_users += users;
-            batch_steps += 1;
-        }
+        steps.merge(&r.steps);
         request_latencies.extend_from_slice(&r.request_latencies);
         generated_tokens += r.generated_tokens;
         degraded_tokens += r.degraded_tokens;
@@ -1985,12 +2026,13 @@ pub fn simulate_fleet_with(
         spec_misses += r.spec_counts.1;
         spec_denied += r.spec_counts.2;
         fleet_now = fleet_now.max(r.now);
-        reports.push(r.sched.finalize());
+        reports.push(r.steps.attach(r.sched.finalize()));
         for (i, (tok, req)) in r.sched.class_samples().iter().enumerate() {
-            samples[i].0.extend_from_slice(tok);
+            samples[i].0.merge(tok);
             samples[i].1.extend_from_slice(req);
         }
     }
+    let token_lat = merged_token_counts(samples.iter().map(|(tok, _)| tok));
     let span_s = fleet_now.max(1.0) / 1e9;
     let shed_total = summary.shed.len();
     let metrics = ServeMetrics {
@@ -1998,15 +2040,11 @@ pub fn simulate_fleet_with(
         rejected,
         in_flight: total_arrived - request_latencies.len() - rejected - waiting - shed_total,
         throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&mut token_lat, 0.5),
-        p99_token_ms: percentile(&mut token_lat, 0.99),
+        p50_token_ms: token_lat.quantile_round(0.5),
+        p99_token_ms: token_lat.quantile_round(0.99),
         p50_request_ms: percentile(&mut request_latencies, 0.5),
         p99_request_ms: percentile(&mut request_latencies, 0.99),
-        mean_batch: if batch_steps == 0 {
-            0.0
-        } else {
-            batch_users as f64 / batch_steps as f64
-        },
+        mean_batch: steps.mean_batch(),
         retried_tokens: 0,
         degraded_tokens,
         failed_requests: 0,
@@ -2383,6 +2421,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn quantile_round_on_counts_matches_the_expanded_percentile() {
+        // Seeded (value, weight) populations — ties, signed zeros, IEEE
+        // specials, zero weights, single elements — against the
+        // round-index percentile over the expansion, bit for bit.
+        let mut rng = SimRng::seed_from(0xc0_417);
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NAN, 1.0, -1.0];
+        let mut pops: Vec<Vec<(f64, usize)>> =
+            vec![vec![(3.25, 1)], vec![(0.0, 2), (-0.0, 2)], vec![(1.0, 0)]];
+        for len in [0, 1, 2, 99, 100, 2_000] {
+            let mut p = [const { Vec::new() }; 4];
+            for _ in 0..len {
+                let w = rng.below(70);
+                p[0].push((rng.uniform() * 1e3, w));
+                p[1].push((rng.below(3) as f64, w));
+                p[2].push((specials[rng.below(specials.len())], w));
+                p[3].push((f64::from_bits(rng.next_u64()), w));
+            }
+            pops.extend(p);
+        }
+        for pop in pops {
+            let mut counts = LatencyCounts::new();
+            let mut expanded = Vec::new();
+            for &(v, w) in &pop {
+                counts.add(v, w);
+                expanded.extend(std::iter::repeat_n(v, w));
+            }
+            for p in [0.0, 0.5, 0.99, 1.0] {
+                let want = percentile(&mut expanded, p);
+                let got = counts.quantile_round(p);
+                assert_eq!(got.to_bits(), want.to_bits(), "n {} p {p}", expanded.len());
+            }
+        }
+    }
+
+    #[test]
+    fn step_tally_counts_capped_token_samples_and_the_mean_batch() {
+        let mut t = StepTally::default();
+        assert_eq!(t.mean_batch(), 0.0);
+        for users in [3, 100, 64, 1] {
+            t.record(users);
+        }
+        assert_eq!(t.token_samples, 3 + 64 + 64 + 1);
+        let per_step: f64 = [3.0, 100.0, 64.0, 1.0].iter().sum();
+        assert_eq!(t.mean_batch().to_bits(), (per_step / 4.0).to_bits());
     }
 
     #[test]

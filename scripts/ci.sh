@@ -12,6 +12,9 @@
 #   3d. one-function-per-operation gate (no `try_*` / `*_traced` /
 #       `*_injected` / `*_with_replays` variants in the cxl link or the
 #       drex offload, DCC and device models)
+#   3e. no-per-token-sample-vector gate (sched/system keep token latencies
+#       as exact value counts: no `Vec<f64>` named for tokens, no
+#       `for _ in 0..` loop pushing one latency copy per token)
 #   4. sim-time-only gate (no wall-clock reads in the instrumented crates)
 #   5. release build (all crates, all bench targets compile), then the
 #      scf kernel smoke (packed scan bit-identical to and faster than the
@@ -110,6 +113,29 @@ variant_hits=$(
 if [ -n "$variant_hits" ]; then
     echo "error: variant of a DReX/CXL timing operation (fold it into the one function):" >&2
     echo "$variant_hits" >&2
+    exit 1
+fi
+
+# Per-token latencies in the scheduler and the serving stack are exact
+# value → multiplicity counts (`LatencyCounts`), so their memory grows with
+# distinct step durations, not with tokens served. A `Vec<f64>` binding or
+# field named for tokens (`tok`/`token`), or a `for _ in 0..` loop that
+# pushes within its first lines (one latency copy per token), is the
+# expansion the counts replaced. Test modules (each file from its first
+# `#[cfg(test)]` on) are exempt.
+echo "== no-per-token-sample-vector gate (sched, system) =="
+token_hits=$(
+    find crates/sched/src crates/system/src -name '*.rs' -print0 |
+        xargs -0 awk 'FNR == 1 {skip = 0; loop = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next}
+            /[A-Za-z0-9_]*tok[A-Za-z0-9_]*[[:space:]]*:[^=;]*Vec<f64>/ {
+                print FILENAME ":" FNR ": " $0
+            }
+            /for _ in 0\.\./ {loop = FNR}
+            loop && FNR - loop <= 3 && /\.push\(/ {print FILENAME ":" FNR ": " $0; loop = 0}'
+)
+if [ -n "$token_hits" ]; then
+    echo "error: per-token latency samples in sched/system (add to a LatencyCounts instead):" >&2
+    echo "$token_hits" >&2
     exit 1
 fi
 
