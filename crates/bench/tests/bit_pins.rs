@@ -1,4 +1,5 @@
-//! Bit pins for the ITQ training path and the DReX device model.
+//! Bit pins for the ITQ training path, the quality-path host kernels and
+//! the DReX device model.
 //!
 //! `linalg::svd_square` and `ItqRotation::train` feed every hybrid+ITQ
 //! golden (Fig 3, Fig 4, Fig 10, the filtering baselines). A rewrite of
@@ -7,17 +8,22 @@
 //! before the column-major Jacobi rewrite.
 
 use longsight_bench::fig3::{trace_for, train_trace_itq};
+use longsight_core::trace_eval::PreparedTrace;
+use longsight_core::{
+    FilterStats, HybridConfig, ItqConfig, ItqRotation, LongSightBackend, RotationTable,
+    ThresholdTable,
+};
 use longsight_drex::layout::MAX_CONTEXT_SLICE_KEYS;
 use longsight_drex::{
     time_head_offload, time_slice_offload, DccSim, HeadOffloadSpec, HeadOffloadTiming, HeadWork,
 };
 use longsight_faults::FaultProfile;
-use longsight_model::ModelConfig;
+use longsight_model::{AttentionBackend, AttentionRequest, HeadKv, ModelConfig};
 use longsight_system::{
     DegradeStats, Infeasible, LongSightConfig, LongSightSystem, LookaheadConfig, OffloadProfile,
     ServingSystem, StepReport,
 };
-use longsight_tensor::{linalg, Matrix, SimRng};
+use longsight_tensor::{linalg, FlatVecs, Matrix, SignArena, SimRng};
 
 /// FNV-1a over the little-endian bit patterns of `values`.
 fn fnv1a_bits<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
@@ -62,6 +68,213 @@ fn itq_training_on_the_fig3_set_is_pinned() {
     assert_eq!(
         got, 0x96a7_e40c_f09f_4749,
         "ITQ training moved a bit: {got:#x}"
+    );
+}
+
+// Quality-path pins. The per-query pipeline (SCF scan over the packed sign
+// arena, full-precision scores, top-k selection, attention over the
+// candidates) feeds the Fig 3, Fig 4, Fig 10 and quality goldens. Its host
+// kernels may get faster but not move a single output bit, so these tests
+// hash the exact bit patterns and compare them with constants recorded
+// before the kernels were rewritten.
+
+fn fnv_filter_stats(h: &mut Fnv, s: &FilterStats) {
+    for v in [
+        s.queries,
+        s.dense_kv,
+        s.window_accessed,
+        s.sparse_region,
+        s.scored,
+        s.retrieved,
+    ] {
+        h.u(v);
+    }
+    h.u(s.per_head.len() as u64);
+    for ph in &s.per_head {
+        h.u(ph.region);
+        h.u(ph.scored);
+        h.u(ph.retrieved);
+    }
+}
+
+#[test]
+fn trace_eval_bits_are_pinned() {
+    // Every Fig 3 ladder rung (thresholds 0, 4, ..., 128) of the three
+    // variants' configurations, at a k that forces selection and one that
+    // keeps the whole region.
+    let trace = trace_for(128, 2_048, 0x7EA1);
+    let itq = train_trace_itq(&trace, 512, 0x7EA1);
+    let identity = ItqRotation::identity(128);
+    let mut got = Vec::new();
+    for (window, rotation) in [(1, &identity), (1024, &identity), (1024, &itq)] {
+        let mut h = Fnv::new();
+        for k in [64, 1024] {
+            let config = HybridConfig {
+                window,
+                sinks: 16,
+                top_k: k,
+            };
+            let prepared = PreparedTrace::new(&trace, rotation, &config);
+            for th in (0..=128u32).step_by(4) {
+                let q = prepared.evaluate(th);
+                h.f(q.topk_recall);
+                h.f(q.ground_truth_recall);
+                h.f(q.output_rel_err);
+                fnv_filter_stats(&mut h, &q.stats);
+            }
+        }
+        got.push(h.0);
+    }
+    assert_eq!(
+        got,
+        [
+            0xe83e_96c4_23f1_b5b2,
+            0x1990_dbc9_488a_ded8,
+            0x0d66_4a32_3d0a_7859
+        ],
+        "evaluate_trace moved a bit: {got:#x?}"
+    );
+}
+
+#[test]
+fn hybrid_attention_bits_are_pinned() {
+    // A sparse region of 4,928 keys spans two 4,096-key scan chunks, so the
+    // chunk-local top-k lists go through the merge.
+    let dim = 64;
+    let n = 5_200;
+    let mut rng = SimRng::seed_from(0x4B1D);
+    let mut history = HeadKv::new(dim);
+    for _ in 0..n {
+        let k = rng.normal_vec(dim);
+        let v = rng.normal_vec(dim);
+        history.push(&k, &v);
+    }
+    let queries: Vec<Vec<f32>> = (0..4).map(|_| rng.normal_vec(dim)).collect();
+    let train = Matrix::from_vec(
+        512,
+        dim,
+        (0..512)
+            .flat_map(|i| history.keys().get(i).to_vec())
+            .collect(),
+    );
+    let itq = ItqRotation::train(
+        &train,
+        &ItqConfig {
+            iterations: 10,
+            seed: 0x4B1D,
+        },
+    );
+    let req = AttentionRequest {
+        layer: 0,
+        kv_head: 0,
+        position: n - 1,
+        queries: &queries,
+        history: &history,
+        scale: 0.125,
+    };
+    let mut got = Vec::new();
+    for rotation in [ItqRotation::identity(dim), itq] {
+        let mut h = Fnv::new();
+        for top_k in [64, 1024] {
+            for threshold in [0, 30, 36] {
+                let mut backend = LongSightBackend::new(
+                    HybridConfig {
+                        window: 256,
+                        sinks: 16,
+                        top_k,
+                    },
+                    ThresholdTable::uniform(1, 1, threshold),
+                    RotationTable::from_fn(1, 1, |_, _| rotation.clone()),
+                );
+                for out in backend.attend(&req) {
+                    for x in out {
+                        h.u(u64::from(x.to_bits()));
+                    }
+                }
+                fnv_filter_stats(&mut h, backend.stats());
+            }
+        }
+        got.push(h.0);
+    }
+    assert_eq!(
+        got,
+        [0x6430_a5ae_9157_0419, 0x51ce_da42_9f03_f5af],
+        "hybrid attention moved a bit: {got:#x?}"
+    );
+}
+
+#[test]
+fn sign_arena_words_are_pinned() {
+    // Random rows, then rows mixing ±0.0, ±inf, NaN payloads and
+    // subnormals, across a 130-dim width (three words, a partial last one).
+    let dim = 130;
+    let mut rng = SimRng::seed_from(0x5167);
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc0_0001),
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        1.0,
+        -1.0,
+    ];
+    let mut keys = FlatVecs::new(dim);
+    for _ in 0..1_500 {
+        keys.push(&rng.normal_vec(dim));
+    }
+    for r in 0..64 {
+        let row: Vec<f32> = (0..dim)
+            .map(|i| {
+                if (i + r) % 3 == 0 {
+                    specials[(i * 7 + r) % specials.len()]
+                } else {
+                    rng.normal() as f32
+                }
+            })
+            .collect();
+        keys.push(&row);
+    }
+    let all_special: Vec<f32> = (0..dim).map(|i| specials[i % specials.len()]).collect();
+    keys.push(&all_special);
+    let train = Matrix::from_vec(
+        256,
+        dim,
+        (0..256).flat_map(|i| keys.get(i).to_vec()).collect(),
+    );
+    let trained = ItqRotation::train(
+        &train,
+        &ItqConfig {
+            iterations: 5,
+            seed: 0x5167,
+        },
+    );
+    let mut got = Vec::new();
+    for rotation in [ItqRotation::identity(dim), trained] {
+        let mut h = Fnv::new();
+        let arena = rotation.sign_arena(&keys);
+        for w in arena.lane_words(0..arena.len()) {
+            h.u(*w);
+        }
+        let mut pushed = SignArena::new(dim);
+        for i in 0..keys.len() {
+            let signs = rotation.signs(keys.get(i));
+            pushed.push_bits(&signs);
+            for w in signs.words() {
+                h.u(*w);
+            }
+        }
+        assert_eq!(pushed, arena, "signs() and sign_arena() disagree");
+        got.push(h.0);
+    }
+    assert_eq!(
+        got,
+        [0x2f65_b4d5_1781_e8fd, 0xe169_3366_bc8b_2465],
+        "sign packing moved a bit: {got:#x?}"
     );
 }
 
