@@ -404,6 +404,15 @@ pub fn quality(a: &Args) -> Result<(), String> {
     let seed: u64 = a.get_or("seed", 2025)?;
     let use_itq: bool = a.get_or("itq", true)?;
 
+    let hybrid_cfg = HybridConfig {
+        window,
+        sinks: 16,
+        top_k: k,
+    };
+    hybrid_cfg
+        .validate()
+        .map_err(|e| format!("--window/--k: {e}"))?;
+
     let cfg = ModelConfig::tiny();
     let threshold: u32 = a.get_or("threshold", cfg.head_dim as u32 / 2 + 5)?;
     let mut rng = SimRng::seed_from(seed);
@@ -422,11 +431,7 @@ pub fn quality(a: &Args) -> Result<(), String> {
         RotationTable::identity(cfg.layers, cfg.kv_heads, cfg.head_dim)
     };
     let mut hybrid = LongSightBackend::new(
-        HybridConfig {
-            window,
-            sinks: 16,
-            top_k: k,
-        },
+        hybrid_cfg,
         ThresholdTable::uniform(cfg.layers, cfg.kv_heads, threshold),
         rotations,
     );
@@ -993,6 +998,14 @@ pub fn tune(a: &Args) -> Result<(), String> {
     let k: usize = a.get_or("k", 96)?;
     let budget: f64 = a.get_or("budget", 0.05)?;
     let seed: u64 = a.get_or("seed", 2025)?;
+    let hybrid_cfg = HybridConfig {
+        window,
+        sinks: 16,
+        top_k: k,
+    };
+    hybrid_cfg
+        .validate()
+        .map_err(|e| format!("--window/--k: {e}"))?;
 
     let cfg = ModelConfig::tiny();
     let mut rng = SimRng::seed_from(seed);
@@ -1004,11 +1017,6 @@ pub fn tune(a: &Args) -> Result<(), String> {
     let text = corpus::generate(&corpus::CorpusConfig::long_book(cfg.vocab), ctx, &mut rng);
     let rotations =
         training::train_rotations(&model, &text.tokens[..512.min(ctx)], &ItqConfig::default());
-    let hybrid_cfg = HybridConfig {
-        window,
-        sinks: 16,
-        top_k: k,
-    };
 
     let outcome = tune_thresholds(
         cfg.layers,

@@ -359,7 +359,8 @@ enum GateRow {
 /// value is ns per key, not ms, and wall-clock, so its threshold is set
 /// generously in the trajectory file), and
 /// `kernels/<bench name>/median_ms` (a `kernels` bench row's median
-/// wall-clock, likewise with a generous threshold).
+/// wall-clock, likewise with a generous threshold; the bench name may
+/// itself contain `/`, as in `kernels/topk/top1024_of_64k/median_ms`).
 fn gate_spec(key: &str) -> Result<GateSpec, String> {
     let parts: Vec<&str> = key.split('/').collect();
     let part = |i: usize| -> Result<&str, String> {
@@ -468,16 +469,21 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
             })
         }
         "kernels" => {
-            if part(2)? != "median_ms" {
+            // The bench name is every segment between `kernels` and the
+            // trailing `median_ms`, so `topk/top1024_of_64k` keeps its `/`.
+            let (last, name) = parts[1..]
+                .split_last()
+                .filter(|(_, name)| !name.is_empty())
+                .ok_or_else(|| format!("key '{key}': expected kernels/<bench>/median_ms"))?;
+            if *last != "median_ms" {
                 return Err(format!(
-                    "key '{key}': a kernels row pins its median_ms, got '{}'",
-                    part(2)?
+                    "key '{key}': a kernels row pins its median_ms, got '{last}'"
                 ));
             }
             Ok(GateSpec {
                 file: "results/kernels.txt",
                 row: GateRow::Timing {
-                    name: part(1)?.to_string(),
+                    name: name.join("/"),
                 },
             })
         }
@@ -728,6 +734,29 @@ mod tests {
         );
         assert!(gate_spec("kernels/itq_train_1024x128_30it/max_ms").is_err());
         assert!(gate_spec("kernels/itq_train_1024x128_30it").is_err());
+        assert!(gate_spec("kernels/median_ms").is_err());
+        assert!(gate_spec("kernels/topk/top1024_of_64k/max_ms").is_err());
+    }
+
+    #[test]
+    fn kernels_key_names_a_bench_containing_a_slash() {
+        let spec = gate_spec("kernels/topk/top1024_of_64k/median_ms").unwrap();
+        assert_eq!(spec.file, "results/kernels.txt");
+        assert_eq!(
+            spec.row,
+            GateRow::Timing {
+                name: "topk/top1024_of_64k".to_string()
+            }
+        );
+        let text = "\
+sign/pack_128d          time:   [60.10 ns 64.25 ns 80.00 ns]
+                        thrpt:  [1.60 Gelem/s 1.99 Gelem/s 2.13 Gelem/s]
+topk/top1024_of_64k     time:   [250.00 us 275.50 us 300.00 us]
+                        thrpt:  [218.45 Melem/s 237.88 Melem/s 262.14 Melem/s]
+";
+        assert!((lookup(&spec, text).unwrap() - 0.2755).abs() < 1e-12);
+        let sign = gate_spec("kernels/sign/pack_128d/median_ms").unwrap();
+        assert!((lookup(&sign, text).unwrap() - 64.25e-6).abs() < 1e-15);
     }
 
     #[test]

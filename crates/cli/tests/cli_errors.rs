@@ -90,6 +90,26 @@ fn bad_ts_window_fails_with_exit_1_and_a_diagnostic() {
 }
 
 #[test]
+fn out_of_range_hybrid_flags_fail_with_exit_1_not_a_panic() {
+    // A k above the hardware maximum (up to usize::MAX) or an empty window
+    // is rejected before any model work, for both quality commands.
+    for (cmd, flag, bad) in [
+        ("quality", "--k", "18446744073709551615"),
+        ("quality", "--k", "1025"),
+        ("tune", "--k", "4096"),
+        ("tune", "--window", "0"),
+    ] {
+        let out = longsight(&[cmd, flag, bad]);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {bad}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("--window/--k") && !err.contains("panicked"),
+            "{cmd} {flag} {bad}: stderr must name the flags: {err}"
+        );
+    }
+}
+
+#[test]
 fn session_flag_contradictions_fail_with_exit_1_and_a_diagnostic() {
     // A session with no turns can never open.
     let out = longsight(&[

@@ -176,8 +176,8 @@ impl AttentionBackend for LongSightBackend {
                 // fixed-size chunks of the sparse region (this mirrors the
                 // per-partition PFU parallelism of the real device). Each
                 // chunk keeps a bounded local top-k; merging the per-chunk
-                // survivors through one final heap is *bit-identical* to the
-                // serial scan, because a TopK's retained set is a pure
+                // selectors into one final selector is *bit-identical* to
+                // the serial scan, because a TopK's retained set is a pure
                 // function of the pushed (score, index) multiset — any
                 // global top-k element is necessarily in its own chunk's
                 // local top-k, and scores are computed per element from the
@@ -210,16 +210,14 @@ impl AttentionBackend for LongSightBackend {
                         }
                         block = block_end;
                     }
-                    (top.into_sorted_vec(), chunk_scored)
+                    (top, chunk_scored)
                 });
                 let mut top = TopK::new(top_k);
                 for (part, chunk_scored) in partials {
                     scored += chunk_scored;
-                    for e in part {
-                        top.push(e.score, e.index);
-                    }
+                    top.merge(part);
                 }
-                let selected = top.into_sorted_vec();
+                let selected = top.into_vec();
                 retrieved = selected.len() as u64;
                 candidates.extend(selected.iter().map(|s| s.index));
             } else if region > 0 {

@@ -45,12 +45,12 @@ pub struct TraceQuality {
 /// PFUs scan) and, per query probe, the rotated query signs, every score
 /// `q·k`, the exact top-k of the sparse region and the dense attention
 /// output. [`PreparedTrace::evaluate`] then runs only the packed SCF scan,
-/// the survivor heap over the stored scores and hybrid attention over the
+/// the survivor top-k over the stored scores and hybrid attention over the
 /// candidates. Keys and values are read straight from the trace.
 ///
 /// Every metric is bit-identical to a fresh evaluation at any thread count:
-/// the stored scores are the same `vecops::dot` calls in the same key
-/// order, so heap tie-breaks and attention weights do not move.
+/// the stored scores carry the bits of `vecops::dot(q, k)` in key order, so
+/// top-k tie-breaks and attention weights do not move.
 #[derive(Debug, Clone)]
 pub struct PreparedTrace<'a> {
     trace: &'a HeadTrace,
@@ -97,7 +97,7 @@ impl<'a> PreparedTrace<'a> {
             for (i, &s) in scores.iter().enumerate().take(window_start).skip(sinks_end) {
                 top.push(s, i);
             }
-            let mut exact: Vec<usize> = top.into_sorted_vec().iter().map(|s| s.index).collect();
+            let mut exact: Vec<usize> = top.into_vec().iter().map(|s| s.index).collect();
             exact.sort_unstable();
             let scaled: Vec<f32> = scores.iter().map(|&s| s * scale).collect();
             PreparedProbe {
@@ -156,7 +156,7 @@ impl<'a> PreparedTrace<'a> {
         // any thread count.
         let per_probe = longsight_exec::deterministic_map(&self.probes, |pi, p| {
             // Sparse pipeline over the region: one PFU epoch per 128-key
-            // block off the packed arena; survivors feed the heap in key
+            // block off the packed arena; survivors feed the top-k in key
             // order.
             let mut top = TopK::new(self.top_k);
             let mut scored = 0u64;
@@ -173,16 +173,18 @@ impl<'a> PreparedTrace<'a> {
                 }
                 block = block_end;
             }
-            let retrieved: Vec<usize> = top.into_sorted_vec().iter().map(|s| s.index).collect();
+            let mut retrieved: Vec<usize> = top.into_vec().iter().map(|s| s.index).collect();
+            retrieved.sort_unstable();
             let topk_hits = retrieved
                 .iter()
                 .filter(|i| p.exact.binary_search(i).is_ok())
                 .count();
 
+            // Sinks, the retrieved keys and the window are disjoint ranges
+            // in that order, so the candidate list is already sorted.
             let mut candidates: Vec<usize> = (0..sinks_end).collect();
             candidates.extend(retrieved.iter().copied());
             candidates.extend(window_start..n);
-            candidates.sort_unstable();
 
             let relevant = &self.trace.queries[pi].relevant;
             let gt_hits = relevant

@@ -12,7 +12,7 @@
 //!   the data structure behind Sign-Concordance Filtering,
 //! * [`SignArena`] — a contiguous key-major arena of packed sign lanes, the
 //!   block-kernel layout mirroring a DReX Key Sign Object region,
-//! * [`TopK`] — a bounded min-heap for top-*k* selection,
+//! * [`TopK`] — bounded top-*k* selection,
 //! * [`Bf16`] — bfloat16 storage emulation (the paper's models run BF16),
 //! * [`SimRng`] — a seeded in-repo xoshiro256** RNG with the Gaussian helpers
 //!   the synthetic weight/workload generators need,

@@ -35,13 +35,9 @@ impl SignBits {
     /// `x < 0.0`, so packing is a pure function of that comparison.
     pub fn from_slice(v: &[f32]) -> Self {
         let dim = v.len();
-        let mut packed = vec![0u64; dim.div_ceil(64)];
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 {
-                packed[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        Self { dim, words: packed }
+        let mut words = vec![0u64; dim.div_ceil(64)];
+        pack_signs(v, &mut words);
+        Self { dim, words }
     }
 
     /// Dimensionality of the source vector.
@@ -88,6 +84,21 @@ impl SignBits {
     /// dimension, rounded up to whole bytes). Used by the DReX capacity model.
     pub fn storage_bytes(dim: usize) -> usize {
         dim.div_ceil(8)
+    }
+}
+
+/// Packs the sign bits of `v` into `words`, 64 dimensions per word: bit
+/// `b` of word `w` is `v[64·w + b] < 0.0`. Each word is built branch-free
+/// from the comparison results, so `-0.0` and NaN pack as 0 like the
+/// per-element `if x < 0.0` walk.
+#[inline]
+fn pack_signs(v: &[f32], words: &mut [u64]) {
+    for (word, chunk) in words.iter_mut().zip(v.chunks(64)) {
+        let mut bits = 0u64;
+        for (b, &x) in chunk.iter().enumerate() {
+            bits |= u64::from(x < 0.0) << b;
+        }
+        *word = bits;
     }
 }
 
@@ -176,11 +187,7 @@ impl SignArena {
         assert_eq!(v.len(), self.dim, "sign vector dimension mismatch");
         let base = self.words.len();
         self.words.resize(base + self.words_per_key, 0);
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 {
-                self.words[base + i / 64] |= 1u64 << (i % 64);
-            }
-        }
+        pack_signs(v, &mut self.words[base..]);
         self.len += 1;
     }
 

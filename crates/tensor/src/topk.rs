@@ -1,12 +1,17 @@
 //! Bounded top-*k* selection.
 //!
 //! The NMAs in DReX maintain a partial top-*k* list (hardware maximum
-//! `k = 1,024`) while streaming scored keys out of DRAM. [`TopK`] models that
-//! structure: a bounded min-heap keyed on score, with deterministic
-//! tie-breaking on the index so simulation runs are reproducible.
+//! `k = 1,024`) while streaming scored keys out of DRAM; the DCC hardware
+//! keeps it as a bounded min-heap. [`TopK`] models that structure on the
+//! host by selection instead: entries are appended to a buffer, and when
+//! the buffer holds `2k` of them one `select_nth_unstable` pass keeps the
+//! best `k` and raises an admission floor below which later entries are
+//! dropped on arrival. Both retain the same set — the `k` largest pushed
+//! `(score, index)` pairs under one total order (score by `total_cmp`, then
+//! the lower index) — so every caller sees the bits a heap would give, with
+//! deterministic tie-breaking so simulation runs are reproducible.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A `(score, index)` pair ordered by score, then by index (lower index wins
 /// ties, matching "earlier token wins" determinism).
@@ -44,23 +49,13 @@ impl Ord for ScoredIndex {
     }
 }
 
-/// Wrapper flipping the ordering so `BinaryHeap` acts as a min-heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MinHeapEntry(ScoredIndex);
-
-impl PartialOrd for MinHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MinHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.cmp(&self.0)
-    }
-}
-
-/// A bounded min-heap retaining the `k` highest-scoring entries seen so far.
+/// A bounded selector retaining the `k` highest-scoring entries seen so
+/// far.
+///
+/// The retained set is a pure function of the pushed `(score, index)`
+/// multiset under the [`ScoredIndex`] order, independent of push order:
+/// selectors filled from disjoint parts of a stream and then
+/// [merged](TopK::merge) keep what one selector over the whole stream keeps.
 ///
 /// # Example
 ///
@@ -78,17 +73,25 @@ impl Ord for MinHeapEntry {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    heap: BinaryHeap<MinHeapEntry>,
+    /// Candidates in push order; holds fewer than `2k` entries between
+    /// calls, and every retained entry is among them.
+    buf: Vec<ScoredIndex>,
+    /// The `k`-th best entry as of the last compaction: an entry at or
+    /// below it cannot enter the top `k` any more.
+    floor: Option<ScoredIndex>,
 }
 
 impl TopK {
     /// Creates an empty selector keeping at most `k` entries.
     ///
-    /// `k = 0` is allowed and keeps nothing.
+    /// `k = 0` is allowed and keeps nothing. Nothing is allocated up front:
+    /// the buffer grows with what is pushed, so a `k` far above the stream
+    /// length (up to `usize::MAX`) costs only the entries it is given.
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            buf: Vec::new(),
+            floor: None,
         }
     }
 
@@ -99,54 +102,62 @@ impl TopK {
 
     /// Number of entries currently retained.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.buf.len().min(self.k)
     }
 
     /// Whether no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Offers a `(score, index)` pair; keeps it only if it is among the `k`
-    /// best seen so far. Returns `true` if the entry was retained.
-    pub fn push(&mut self, score: f32, index: usize) -> bool {
+    /// Offers a `(score, index)` pair; it is kept while it is among the `k`
+    /// best seen so far.
+    #[inline]
+    pub fn push(&mut self, score: f32, index: usize) {
         if self.k == 0 {
-            return false;
+            return;
         }
-        let entry = MinHeapEntry(ScoredIndex::new(score, index));
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-            return true;
+        let entry = ScoredIndex::new(score, index);
+        if self.floor.is_some_and(|floor| entry <= floor) {
+            return;
         }
-        // Full: replace the current minimum if strictly better.
-        let min = self.heap.peek().expect("non-empty when full");
-        if entry.0 > min.0 {
-            self.heap.pop();
-            self.heap.push(entry);
-            true
-        } else {
-            false
+        self.buf.push(entry);
+        if self.buf.len() >= self.k.saturating_mul(2) {
+            self.compact();
         }
     }
 
-    /// The smallest retained score, if any (the current admission threshold).
-    pub fn min_score(&self) -> Option<f32> {
-        self.heap.peek().map(|e| e.0.score)
+    /// Keeps the best `k` buffered entries (in no particular order) and
+    /// raises the admission floor to the `k`-th.
+    fn compact(&mut self) {
+        if self.buf.len() <= self.k {
+            return;
+        }
+        self.buf.select_nth_unstable_by(self.k - 1, |a, b| b.cmp(a));
+        self.buf.truncate(self.k);
+        self.floor = Some(self.buf[self.k - 1]);
     }
 
     /// Merges another selector's contents into this one (used when the DCC
     /// aggregates partial top-k lists from multiple NMAs).
     pub fn merge(&mut self, other: TopK) {
-        for e in other.heap {
-            self.push(e.0.score, e.0.index);
+        for e in other.into_vec() {
+            self.push(e.score, e.index);
         }
+    }
+
+    /// Consumes the selector and returns the retained entries in no
+    /// particular order, for callers that only need the set.
+    pub fn into_vec(mut self) -> Vec<ScoredIndex> {
+        self.compact();
+        self.buf
     }
 
     /// Consumes the selector and returns the retained entries sorted by
     /// descending score (ties broken by ascending index).
     pub fn into_sorted_vec(self) -> Vec<ScoredIndex> {
-        let mut v: Vec<ScoredIndex> = self.heap.into_iter().map(|e| e.0).collect();
-        v.sort_by(|a, b| b.cmp(a));
+        let mut v = self.into_vec();
+        v.sort_unstable_by(|a, b| b.cmp(a));
         v
     }
 }
@@ -194,7 +205,7 @@ mod tests {
     fn k_zero_returns_nothing() {
         assert!(top_k_indices(&[1.0, 2.0], 0).is_empty());
         let mut t = TopK::new(0);
-        assert!(!t.push(5.0, 0));
+        t.push(5.0, 0);
         assert!(t.is_empty());
     }
 
@@ -222,13 +233,49 @@ mod tests {
     }
 
     #[test]
-    fn min_score_tracks_admission_threshold() {
-        let mut t = TopK::new(2);
-        assert_eq!(t.min_score(), None);
-        t.push(1.0, 0);
-        t.push(3.0, 1);
-        assert_eq!(t.min_score(), Some(1.0));
-        t.push(2.0, 2);
-        assert_eq!(t.min_score(), Some(2.0));
+    fn merge_takes_only_what_a_smaller_selector_retains() {
+        // `small` keeps its best 2 of 3 pushes (buffered, not yet compacted);
+        // its third entry must not reach the wider selector through merge.
+        let mut wide = TopK::new(4);
+        wide.push(1.0, 0);
+        let mut small = TopK::new(2);
+        small.push(5.0, 1);
+        small.push(4.0, 2);
+        small.push(3.0, 3);
+        wide.merge(small);
+        let got: Vec<usize> = wide.into_sorted_vec().iter().map(|s| s.index).collect();
+        assert_eq!(got, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn unbounded_k_keeps_everything_without_preallocating() {
+        let mut t = TopK::new(usize::MAX);
+        assert_eq!(t.buf.capacity(), 0);
+        let scores = [0.5, -1.0, f32::NAN, 2.0, 0.5, f32::NEG_INFINITY];
+        for (i, &s) in scores.iter().enumerate() {
+            t.push(s, i);
+        }
+        assert_eq!(t.len(), scores.len());
+        let got: Vec<usize> = t.into_sorted_vec().iter().map(|s| s.index).collect();
+        assert_eq!(got, vec![2, 3, 0, 4, 1, 5]);
+        assert_eq!(top_k_indices(&scores, usize::MAX).len(), scores.len());
+    }
+
+    #[test]
+    fn compaction_keeps_the_best_k_and_drops_at_the_floor() {
+        // 2k ascending pushes compact to the best k; the floor (the k-th
+        // best, score 4.0 at index 4) then rejects every entry not above it.
+        let mut t = TopK::new(4);
+        for i in 0..8 {
+            t.push(i as f32, i);
+        }
+        assert_eq!(t.buf.len(), 4);
+        t.push(3.0, 100); // a lower score: below the floor
+        t.push(4.0, 100); // the floor's score at a higher index: below it
+        assert_eq!(t.buf.len(), 4);
+        t.push(4.0, 1); // same score, lower index: above the floor
+        assert_eq!(t.len(), 4);
+        let got: Vec<usize> = t.into_sorted_vec().iter().map(|s| s.index).collect();
+        assert_eq!(got, vec![7, 6, 5, 1]);
     }
 }

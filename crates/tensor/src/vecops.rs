@@ -18,19 +18,20 @@
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     // Unrolled-by-4 accumulation: keeps four independent dependency chains so
-    // the compiler can vectorize without -ffast-math.
+    // the compiler can vectorize without -ffast-math. `chunks_exact` leaves
+    // no bounds check in the loop, so the four lanes become one vector.
     let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        acc[0] += a[j] * b[j];
-        acc[1] += a[j + 1] * b[j + 1];
-        acc[2] += a[j + 2] * b[j + 2];
-        acc[3] += a[j + 3] * b[j + 3];
+    let (xs, ys) = (a.chunks_exact(4), b.chunks_exact(4));
+    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
+    for (x, y) in xs.zip(ys) {
+        acc[0] += x[0] * y[0];
+        acc[1] += x[1] * y[1];
+        acc[2] += x[2] * y[2];
+        acc[3] += x[3] * y[3];
     }
     let mut tail = 0.0;
-    for j in chunks * 4..a.len() {
-        tail += a[j] * b[j];
+    for (x, y) in x_tail.iter().zip(y_tail) {
+        tail += x * y;
     }
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }

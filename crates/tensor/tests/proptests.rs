@@ -3,7 +3,8 @@
 
 use longsight_tensor::check::{run_cases, Gen};
 use longsight_tensor::{
-    linalg, prop_ensure, prop_ensure_eq, vecops, Matrix, SignBits, SimRng, TopK,
+    linalg, prop_ensure, prop_ensure_eq, vecops, Matrix, ScoredIndex, SignArena, SignBits, SimRng,
+    TopK,
 };
 
 /// A finite `f32` vector in `[-100, 100)` with length drawn from `[lo, hi)`.
@@ -31,20 +32,168 @@ fn sign_concordance_matches_naive() {
     });
 }
 
+/// One `f32` from a mix meant to break kernels that assume tidy input:
+/// finite values, a small pool of heavy duplicates, ±0.0, ±inf, NaN
+/// payloads of both signs and subnormals.
+fn tricky_f32(g: &mut Gen) -> f32 {
+    match g.usize_in(0, 10) {
+        0..=3 => g.f32_in(-100.0, 100.0),
+        4 | 5 => [1.5, -1.5, 0.25, 7.0][g.usize_in(0, 4)],
+        6 => [0.0, -0.0][g.usize_in(0, 2)],
+        7 => [f32::INFINITY, f32::NEG_INFINITY][g.usize_in(0, 2)],
+        8 => {
+            let payload = g.u32_in(1, 1 << 22) | 1 << 22;
+            let sign = if g.bool() { 1u32 << 31 } else { 0 };
+            f32::from_bits(sign | 0x7f80_0000 | payload)
+        }
+        _ => {
+            let sub = f32::from_bits(g.u32_in(1, 0x0080_0000));
+            if g.bool() {
+                -sub
+            } else {
+                sub
+            }
+        }
+    }
+}
+
+fn tricky_vec(g: &mut Gen, lo: usize, hi: usize) -> Vec<f32> {
+    let n = g.usize_in(lo, hi);
+    (0..n).map(|_| tricky_f32(g)).collect()
+}
+
+/// `(score bits, index)` pairs, for comparisons that see NaN payloads and
+/// the sign of zero.
+fn bits(v: &[ScoredIndex]) -> Vec<(u32, usize)> {
+    v.iter().map(|s| (s.score.to_bits(), s.index)).collect()
+}
+
 #[test]
 fn topk_matches_sort() {
-    run_cases("topk_matches_sort", 64, |g| {
-        let scores = finite_vec(g, 0, 300);
-        let k = g.usize_in(0, 40);
+    run_cases("topk_matches_sort", 256, |g| {
+        let scores = if g.bool() {
+            finite_vec(g, 0, 300)
+        } else {
+            tricky_vec(g, 0, 300)
+        };
+        let n = scores.len();
+        let k = match g.usize_in(0, 5) {
+            0 => 0,
+            1 => n + g.usize_in(0, 3),
+            2 => usize::MAX,
+            _ => g.usize_in(1, 40),
+        };
+        let mut pairs: Vec<ScoredIndex> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| ScoredIndex::new(s, i))
+            .collect();
+        pairs.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
+        pairs.truncate(k);
+        let want = bits(&pairs);
+
+        // One selector over the whole stream.
         let mut top = TopK::new(k);
         for (i, &s) in scores.iter().enumerate() {
             top.push(s, i);
         }
-        let got: Vec<usize> = top.into_sorted_vec().into_iter().map(|s| s.index).collect();
-        let mut pairs: Vec<(f32, usize)> = scores.iter().copied().zip(0..).collect();
-        pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let want: Vec<usize> = pairs.into_iter().take(k).map(|(_, i)| i).collect();
-        prop_ensure_eq!(got, want);
+        prop_ensure_eq!(top.len(), want.len());
+        let mut unordered = top.clone().into_vec();
+        unordered.sort_unstable_by(|a, b| b.cmp(a));
+        prop_ensure_eq!(bits(&unordered), want.clone());
+        prop_ensure_eq!(bits(&top.into_sorted_vec()), want.clone());
+
+        // Chunk-local selectors over contiguous chunks, merged two ways:
+        // `merge` and re-pushing each chunk's sorted list (how the hybrid
+        // scan joins its chunks).
+        let chunk = g.usize_in(1, 64);
+        let mut merged = TopK::new(k);
+        let mut repushed = TopK::new(k);
+        for (c, part) in scores.chunks(chunk).enumerate() {
+            let mut local = TopK::new(k);
+            for (j, &s) in part.iter().enumerate() {
+                local.push(s, c * chunk + j);
+            }
+            for e in local.clone().into_sorted_vec() {
+                repushed.push(e.score, e.index);
+            }
+            merged.merge(local);
+        }
+        prop_ensure_eq!(bits(&merged.into_sorted_vec()), want.clone());
+        prop_ensure_eq!(bits(&repushed.into_sorted_vec()), want);
+        Ok(())
+    });
+}
+
+/// `a` and `b` are the same `f32`: equal bits, or both NaN (Rust leaves
+/// the payload of a NaN produced by arithmetic unspecified).
+fn same_f32(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+#[test]
+fn dot_matches_the_indexed_four_lane_loop() {
+    run_cases("dot_matches_the_indexed_four_lane_loop", 256, |g| {
+        // Lengths 0..=133 cover every remainder mod 4 and Llama's 128.
+        let n = g.usize_in(0, 134);
+        let tricky = g.bool();
+        let mut draw = || -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    if tricky && g.usize_in(0, 8) == 0 {
+                        tricky_f32(g)
+                    } else {
+                        g.f32_in(-100.0, 100.0)
+                    }
+                })
+                .collect()
+        };
+        let (a, b) = (draw(), draw());
+        // Reference: four lanes over indexed loads, then the tail, summed
+        // as `acc[0] + acc[1] + acc[2] + acc[3] + tail`.
+        let mut acc = [0.0f32; 4];
+        for j in (0..n - n % 4).step_by(4) {
+            for (l, acc) in acc.iter_mut().enumerate() {
+                *acc += a[j + l] * b[j + l];
+            }
+        }
+        let mut tail = 0.0f32;
+        for j in n - n % 4..n {
+            tail += a[j] * b[j];
+        }
+        let want = acc[0] + acc[1] + acc[2] + acc[3] + tail;
+        let got = vecops::dot(&a, &b);
+        prop_ensure!(
+            same_f32(got, want),
+            "length {n}: dot {:#x} vs reference {:#x}",
+            got.to_bits(),
+            want.to_bits()
+        );
+        Ok(())
+    });
+}
+
+#[test]
+fn sign_packing_matches_the_per_element_walk() {
+    run_cases("sign_packing_matches_the_per_element_walk", 256, |g| {
+        let v = tricky_vec(g, 0, 300);
+        let mut want = vec![0u64; v.len().div_ceil(64)];
+        for (i, &x) in v.iter().enumerate() {
+            if x < 0.0 {
+                want[i / 64] |= 1u64 << (i % 64);
+            }
+        }
+        let packed = SignBits::from_slice(&v);
+        prop_ensure_eq!(packed.words(), &want[..]);
+        prop_ensure_eq!(packed.dim(), v.len());
+        // The arena packs in place behind an earlier key.
+        let mut arena = SignArena::new(v.len());
+        let negated: Vec<f32> = v.iter().map(|x| -x).collect();
+        arena.push_signs_of(&negated);
+        arena.push_signs_of(&v);
+        prop_ensure_eq!(arena.key_words(1), &want[..]);
+        let negated_bits = SignBits::from_slice(&negated);
+        prop_ensure_eq!(arena.key_words(0), negated_bits.words());
         Ok(())
     });
 }
